@@ -77,22 +77,6 @@ class FastBackend(Backend):
         if blas_threads is not None:
             set_blas_threads(blas_threads)
 
-    # Batched contractions model code routes through the backend,
-    # rewritten as np.matmul so they hit BLAS instead of np.einsum's
-    # C loop (several times slower at routing shapes).  The default
-    # backend keeps np.einsum so its numerics stay bit-identical.
-    _EINSUM_AS_MATMUL = {
-        "bnd,bkd->bnk": lambda a, b: np.matmul(a, b.transpose(0, 2, 1)),
-        "bnk,bnd->bkd": lambda a, b: np.matmul(a.transpose(0, 2, 1), b),
-        "bnk,bkd->bnd": lambda a, b: np.matmul(a, b),
-    }
-
-    def einsum(self, spec: str, *operands: np.ndarray) -> np.ndarray:
-        fast_path = self._EINSUM_AS_MATMUL.get(spec)
-        if fast_path is not None and len(operands) == 2:
-            return fast_path(*operands)
-        return np.einsum(spec, *operands)
-
     def scratch(self, shape, pooled: bool = True) -> np.ndarray:
         if pooled:
             return self.pool.acquire(shape, self.compute_dtype)

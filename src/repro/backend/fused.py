@@ -24,8 +24,9 @@ Per-user entry points reuse the batched kernels at B=1: the data arrays
 are expanded with numpy views (no extra graph nodes) and every parent
 gradient drops the leading batch axis on the way out.
 
-This module imports :mod:`repro.autograd` and therefore must only be
-imported lazily from model code, never from ``repro.backend.__init__``.
+This module imports :mod:`repro.autograd` and the shared routing loop
+of :mod:`repro.models.routing`, and therefore must only be imported
+lazily from model code, never from ``repro.backend.__init__``.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ import numpy as np
 
 from .. import backend as _backend
 from ..autograd import Tensor, is_grad_enabled
-
-_NEG = -1e30  # additive mask for padded positions (matches batched_train)
+from ..models.routing import _NEG, routing_coupling
 
 
 def _scratch(shape) -> np.ndarray:
@@ -65,34 +65,6 @@ def _squeeze0(parents):
 
 
 # ---------------------------------------------------------------------- #
-# masked batched softmax over the item axis (axis 1 of (B, n, K))
-# ---------------------------------------------------------------------- #
-def _masked_softmax_items(logits: np.ndarray,
-                          item_mask: Optional[np.ndarray]) -> np.ndarray:
-    """Replicates ``models.batched._masked_softmax_over_items`` numerics.
-
-    With ``item_mask=None`` (per-user call: every slot real) this equals
-    the per-user ``_softmax_over_items`` exactly — the masking terms
-    reduce to multiplications by 1.0 and a no-op ``maximum``.
-    """
-    dt = logits.dtype
-    if item_mask is None:
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        return exp / exp.sum(axis=1, keepdims=True)
-    masked = np.where(item_mask[:, :, None], logits, _const(_NEG, dt))
-    shifted = masked - masked.max(axis=1, keepdims=True)
-    exp = np.exp(shifted) * item_mask[:, :, None]
-    denom = exp.sum(axis=1, keepdims=True)
-    return exp / np.maximum(denom, _const(1e-30, dt))
-
-
-def _squash_np(x: np.ndarray, eps: float = 1e-9) -> np.ndarray:
-    sq = (x * x).sum(axis=-1, keepdims=True)
-    return x * (sq / (1.0 + sq) / np.sqrt(sq + eps))
-
-
-# ---------------------------------------------------------------------- #
 # B2I dynamic routing (ComiRec-DR / MIND)
 # ---------------------------------------------------------------------- #
 def _dr_kernel(e_hat: Tensor, E: np.ndarray, capsules0: np.ndarray,
@@ -102,23 +74,13 @@ def _dr_kernel(e_hat: Tensor, E: np.ndarray, capsules0: np.ndarray,
                iterations: int, eps: float = 1e-9):
     """Shared batched routing kernel over (B, n, d) transformed items.
 
-    Routing weights are constants for backprop (MIND/ComiRec practice);
-    the only parent is ``e_hat``, reached through the final
+    The constant iterations are :func:`repro.models.routing.routing_coupling`;
+    routing weights are constants for backprop (MIND/ComiRec practice),
+    so the only parent is ``e_hat``, reached through the final
     ``squash(Cᵀ ê)`` — exactly the unfused graph's gradient structure.
     """
-    dt = E.dtype
-    caps = capsules0.astype(dt, copy=False)
-    logits = _scratch((E.shape[0], E.shape[1], caps.shape[1]))
-    # contractions run as batched BLAS GEMMs (np.matmul); np.einsum's
-    # C fallback is several times slower at these shapes
-    np.matmul(E, caps.transpose(0, 2, 1), out=logits)     # bnd,bkd->bnk
-    if extra_logits is not None:
-        logits += extra_logits.astype(dt, copy=False)
-    for _ in range(iterations - 1):
-        coupling = _masked_softmax_items(logits, item_mask)
-        caps = _squash_np(np.matmul(coupling.transpose(0, 2, 1), E), eps=eps)
-        logits += np.matmul(E, caps.transpose(0, 2, 1))
-    coupling = _masked_softmax_items(logits, item_mask)
+    coupling = routing_coupling(E, capsules0.astype(E.dtype, copy=False),
+                                iterations, item_mask, extra_logits)
     if capsule_mask is not None:
         coupling = coupling * capsule_mask[:, None, :]
     votes = np.matmul(coupling.transpose(0, 2, 1), E)  # V (B, K, d)

@@ -30,7 +30,7 @@ from ..data.sampler import NegativeSampler
 from ..data.schema import SpanDataset, TemporalSplit
 from ..faults import fire as _fault_probe
 from ..models.base import MSRModel, UserState
-from ..nn import Adam, clip_grad_norm
+from ..nn import Adam, SparseAdam, clip_grad_norm
 from ..obs import prof as _prof
 from ..obs import trace as obs
 from ..sanitize import capture as _capture
@@ -245,11 +245,38 @@ class IncrementalStrategy:
         params = list(self.model.parameters())
         involved = [self.states[p.user] for p in payloads]
         params.extend(self.model.user_parameters(involved))
-        if getattr(self.config, "sparse_adam", False):
-            from ..nn import SparseAdam
+        return self._new_optimizer(params)
 
+    def _new_optimizer(self, params: List) -> Adam:
+        """Adam, or SparseAdam under ``config.sparse_adam``."""
+        if getattr(self.config, "sparse_adam", False):
             return SparseAdam(params, lr=self.config.lr)
         return Adam(params, lr=self.config.lr)
+
+    def _take_step(self, loss: Tensor, opt: Adam, user: int) -> bool:
+        """The tail every training step shares (per-user, micro-batched
+        and streaming): fault probe, non-finite containment, then one
+        clipped optimizer step.  ``user`` labels the fault probe.
+        Returns whether the step was taken."""
+        mods = _fault_probe("train-step", step=self._fault_step, user=user)
+        self._fault_step += 1
+        if mods.get("poison_nan"):
+            loss = loss * Tensor(float("nan"), requires_grad=False)
+        if not np.isfinite(loss.data).all():
+            # failure containment: a non-finite loss (degenerate
+            # negatives, exploded logits) must not poison the
+            # parameters — skip this step
+            obs.counter("train.nonfinite_skips")
+            return False
+        if obs.enabled():
+            obs.counter("train.steps")
+            obs.observe("train.loss", float(loss.data))
+        opt.zero_grad()
+        loss.backward()
+        clip_grad_norm(opt.params, self.config.grad_clip)
+        opt.step()
+        self.model.item_emb.zero_padding_row()
+        return True
 
     def _train(
         self,
@@ -337,26 +364,8 @@ class IncrementalStrategy:
             extra = loss_hook(state, interests, payload)
             if extra is not None:
                 loss = loss + extra
-        mods = _fault_probe("train-step", step=self._fault_step,
-                            user=payload.user)
-        self._fault_step += 1
-        if mods.get("poison_nan"):
-            loss = loss * Tensor(float("nan"), requires_grad=False)
-        if not np.isfinite(loss.data).all():
-            # failure containment: a non-finite loss (degenerate
-            # negatives, exploded logits) must not poison the
-            # parameters — skip this user's step
-            obs.counter("train.nonfinite_skips")
-            return
-        if obs.enabled():
-            obs.counter("train.steps")
-            obs.observe("train.loss", float(loss.data))
-        opt.zero_grad()
-        loss.backward()
-        clip_grad_norm(opt.params, self.config.grad_clip)
-        opt.step()
-        self.model.item_emb.zero_padding_row()
-        state.interests = _capture(interests.data.copy())
+        if self._take_step(loss, opt, payload.user):
+            state.interests = _capture(interests.data.copy())
 
     def _train_group(
         self,
@@ -411,23 +420,9 @@ class IncrementalStrategy:
                 extra = loss_hook(state, t, payload)
                 if extra is not None:
                     loss = loss + extra
-        mods = _fault_probe("train-step", step=self._fault_step,
-                            user=group[0].user)
-        self._fault_step += 1
-        if mods.get("poison_nan"):
-            loss = loss * Tensor(float("nan"), requires_grad=False)
-        if not np.isfinite(loss.data).all():
-            obs.counter("train.nonfinite_skips")
+        if not self._take_step(loss, opt, group[0].user):
             return
-        if obs.enabled():
-            obs.counter("train.steps")
-            obs.observe("train.loss", float(loss.data))
-            obs.observe("batched.group_size", len(group))
-        opt.zero_grad()
-        loss.backward()
-        clip_grad_norm(opt.params, self.config.grad_clip)
-        opt.step()
-        self.model.item_emb.zero_padding_row()
+        obs.observe("batched.group_size", len(group))
         for b, (state, _) in enumerate(jobs):
             source = per_user[b].data if per_user is not None else (
                 interests.data[b, :ks[b]])

@@ -45,12 +45,10 @@ from ..obs import prof as _prof
 from ..obs import trace as obs
 from ..sanitize import capture as _capture
 from .base import MSRModel, UserState
-from .batched import _masked_softmax_over_items
 from .comirec_dr import ComiRecDR
 from .comirec_sa import ComiRecSA
 from .mind import MIND
-
-_NEG = -1e30  # additive mask for padded positions
+from .routing import _NEG, routing_coupling
 
 #: ``(state, history items)`` — one user's extraction job
 Job = Tuple[UserState, Sequence[int]]
@@ -135,7 +133,7 @@ def _extract_dr(model: MSRModel, jobs: Sequence[Job]):
     Mirrors :func:`repro.models.routing.b2i_routing`: routing weights
     are constants for backprop except through the final
     ``squash(cᵀ ê)``; the iterations themselves run vectorized in numpy
-    over the whole padded group.
+    over the whole padded group (:func:`routing_coupling`).
     """
     states = [state for state, _ in jobs]
     capsule_mask, ks = _capsule_padding(states)
@@ -144,14 +142,16 @@ def _extract_dr(model: MSRModel, jobs: Sequence[Job]):
     e_hat = _padded_item_embeddings(model, [seq for _, seq in jobs])[0] @ transform.T
     item_mask = np.zeros((batch, e_hat.shape[1]), dtype=bool)
     capsules = np.zeros((batch, k_max, model.dim))
-    extra_logits = np.zeros((batch, e_hat.shape[1], k_max))
+    extra_logits = None
+    if isinstance(model, MIND):
+        extra_logits = np.zeros((batch, e_hat.shape[1], k_max))
     for b, (state, seq) in enumerate(jobs):
         item_mask[b, :len(seq)] = True
         if isinstance(model, ComiRecDR) and not model.warm_start:
             capsules[b, :ks[b]] = model._random_interests(ks[b])
         else:
             capsules[b, :ks[b]] = state.interests
-        if isinstance(model, MIND):
+        if extra_logits is not None:
             extra_logits[b, :len(seq), :ks[b]] = model._logit_rng.normal(
                 0.0, model.logit_std, size=(len(seq), ks[b]))
 
@@ -159,22 +159,14 @@ def _extract_dr(model: MSRModel, jobs: Sequence[Job]):
         from ..backend.fused import fused_dr_interests
 
         interests = fused_dr_interests(
-            e_hat, capsules, item_mask, capsule_mask,
-            extra_logits if isinstance(model, MIND) else None,
+            e_hat, capsules, item_mask, capsule_mask, extra_logits,
             model.routing_iterations)
         return interests, capsule_mask, ks
 
-    ein = _backend.active.einsum
-    e_np = e_hat.data
     with _prof.op("extract.b2i_routing"):
-        logits = ein("bnd,bkd->bnk", e_np, capsules) + extra_logits
-        iterations = model.routing_iterations
-        for _ in range(iterations - 1):
-            coupling = _masked_softmax_over_items(logits, item_mask)
-            capsules = _squash_np_batch(ein("bnk,bnd->bkd", coupling, e_np))
-            logits = logits + ein("bnd,bkd->bnk", e_np, capsules)
-
-        coupling = _masked_softmax_over_items(logits, item_mask)
+        coupling = routing_coupling(e_hat.data, capsules,
+                                    model.routing_iterations,
+                                    item_mask, extra_logits)
         coupling = coupling * capsule_mask[:, None, :]  # kill padded capsules
     interests = squash(Tensor(coupling).swapaxes(1, 2) @ e_hat)
     return interests, capsule_mask, ks
@@ -217,11 +209,6 @@ def _extract_sa(model: ComiRecSA, jobs: Sequence[Job]):
     attn = attn * Tensor(capsule_mask[:, None, :].astype(embs.data.dtype))
     interests = attn.swapaxes(1, 2) @ embs           # Eq. 9 -> (B, K_max, d)
     return interests, capsule_mask, ks
-
-
-def _squash_np_batch(x: np.ndarray, eps: float = 1e-9) -> np.ndarray:
-    sq_norm = (x * x).sum(axis=-1, keepdims=True)
-    return x * (sq_norm / (1.0 + sq_norm) / np.sqrt(sq_norm + eps))
 
 
 @shape_contract("_, () -> (B, K, D) f, (B, K) b")

@@ -33,21 +33,72 @@ def squash_np(x: np.ndarray, axis: int = -1, eps: float = 1e-9) -> np.ndarray:
     return x * scale
 
 
-@shape_contract("(N, K) f -> (N, K) f")
-def _softmax_over_items(logits: np.ndarray) -> np.ndarray:
-    """Softmax across the item axis (axis 0) of an (n, K) logit matrix."""
-    shifted = logits - logits.max(axis=0, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=0, keepdims=True)
+#: additive logit mask for padded positions (batched routing/attention)
+_NEG = -1e30
 
 
-@shape_contract("(N, K) f -> (N, K) f")
+@shape_contract("(...B, N, K) f, _ -> (...B, N, K) f")
+def _softmax_over_items(logits: np.ndarray,
+                        item_mask: Optional[np.ndarray] = None) -> np.ndarray:
+    """Softmax across the item axis (-2) of (n, K) or (B, n, K) logits.
+
+    ``item_mask`` (B, n) marks real item slots of a padded batch: padded
+    slots get exactly zero weight.  Without a mask every slot is real.
+    """
+    if item_mask is None:
+        shifted = logits - logits.max(axis=-2, keepdims=True)
+        exp = np.exp(shifted)
+        return exp / exp.sum(axis=-2, keepdims=True)
+    dt = logits.dtype.type
+    keep = item_mask[..., None]
+    masked = np.where(keep, logits, dt(_NEG))
+    shifted = masked - masked.max(axis=-2, keepdims=True)
+    exp = np.exp(shifted) * keep
+    denom = exp.sum(axis=-2, keepdims=True)
+    return exp / np.maximum(denom, dt(1e-30))
+
+
+@shape_contract("(...B, N, K) f -> (...B, N, K) f")
 def _softmax_over_capsules(logits: np.ndarray) -> np.ndarray:
-    """Softmax across the capsule axis (axis 1) — MIND/ComiRec reference
+    """Softmax across the capsule axis (-1) — MIND/ComiRec reference
     code convention; kept for the substrate-ablation benchmark."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+    return exp / exp.sum(axis=-1, keepdims=True)
+
+
+@shape_contract("(B, N, D) f, (B, K, D) f, (), _, _, _ -> (B, N, K) f")
+def routing_coupling(
+    e_hat: np.ndarray,
+    capsules: np.ndarray,
+    iterations: int,
+    item_mask: Optional[np.ndarray] = None,
+    extra_logits: Optional[np.ndarray] = None,
+    normalize: str = "items",
+) -> np.ndarray:
+    """The constant part of B2I routing, batched over users.
+
+    Runs the ``iterations - 1`` no-grad routing updates over (B, n, d)
+    transformed items warm-started from (B, K, d) capsules and returns
+    the final (B, n, K) coupling.  Callers finish with the
+    differentiable ``squash(Cᵀ ê)``.  ``item_mask`` (B, n) masks padded
+    item slots; ``extra_logits`` (B, n, K) are added to the initial
+    votes (MIND's random logits).  Contractions use ``@`` (batched BLAS
+    GEMM), which at B=1 reproduces the 2-D products bit for bit.
+    """
+    if normalize == "items":
+        def softmax(x):
+            return _softmax_over_items(x, item_mask)
+    else:
+        softmax = _softmax_over_capsules
+    logits = e_hat @ capsules.transpose(0, 2, 1)     # bnd,bkd->bnk
+    if extra_logits is not None:
+        logits += extra_logits.astype(logits.dtype, copy=False)
+    for _ in range(iterations - 1):
+        coupling = softmax(logits)
+        capsules = squash_np(coupling.transpose(0, 2, 1) @ e_hat)
+        logits += e_hat @ capsules.transpose(0, 2, 1)
+    return softmax(logits)
 
 
 @shape_contract("(N, D) f, (K, D) f, (), (N, K) f, _ -> (K, D) f")
@@ -93,11 +144,7 @@ def b2i_routing(
         )
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    if normalize == "items":
-        softmax_fn = _softmax_over_items
-    elif normalize == "capsules":
-        softmax_fn = _softmax_over_capsules
-    else:
+    if normalize not in ("items", "capsules"):
         raise ValueError(f"normalize must be 'items' or 'capsules', got {normalize!r}")
 
     if _backend.active.fused and normalize == "items":
@@ -108,15 +155,9 @@ def b2i_routing(
         return fused_dr_interests_single(e_hat, init_interests, iterations,
                                          init_logits)
 
-    e_np = e_hat.data
-    logits = e_np @ init_interests.T  # (n, K): votes against initial capsules
-    if init_logits is not None:
-        logits = logits + init_logits
-
-    for _ in range(iterations - 1):
-        coupling = softmax_fn(logits)
-        capsules = squash_np(coupling.T @ e_np)  # (K, d)
-        logits = logits + e_np @ capsules.T
-
-    final_coupling = Tensor(softmax_fn(logits))  # constant for backprop
-    return squash(final_coupling.T @ e_hat)
+    extra = None if init_logits is None else init_logits[None]
+    coupling = routing_coupling(e_hat.data[None], init_interests[None],
+                                iterations, extra_logits=extra,
+                                normalize=normalize)[0]
+    # the coupling is a constant for backprop
+    return squash(Tensor(coupling).T @ e_hat)

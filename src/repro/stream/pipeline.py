@@ -49,10 +49,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .. import faults
-from ..autograd import Tensor
 from ..eval.metrics import metrics_from_ranks, ranks_of_targets
 from ..incremental.strategy import IncrementalStrategy
-from ..nn import Adam, SparseAdam, clip_grad_norm
+# clip_grad_norm is unused here; perfbench/layers.py patches this name
+from ..nn import Adam, clip_grad_norm
 from ..obs import prof as _prof
 from ..obs import trace as obs
 from ..obs.metrics import LATENCY_EDGES
@@ -535,29 +535,14 @@ class _Pipeline:
             return False
         strategy = self.strategy
         state = strategy.states[user]
-        opt = self._optimizer()
-        if state.sa_weights is not None and not opt.has_param(state.sa_weights):
-            opt.add_param(state.sa_weights)
+        opt = strategy._sync_optimizer(self._optimizer(), state)
         tail = list(history)[-self.config.max_history:]
         interests = strategy.model.compute_interests(state, tail)
         negatives = strategy.sampler.sample(item)[None, :]
         loss = strategy.model.loss_targets(interests, [item], negatives)
-        mods = faults.fire("train-step", step=strategy._fault_step,
-                           user=user)
-        strategy._fault_step += 1
-        if mods.get("poison_nan"):
-            loss = loss * Tensor(float("nan"), requires_grad=False)
-        if not np.isfinite(loss.data).all():
-            # same containment rule as the span trainer: a non-finite
-            # loss must not reach the parameters
-            obs.counter("train.nonfinite_skips")
+        if not strategy._take_step(loss, opt, user):
             self.counters["nonfinite_skips"] += 1
             return False
-        opt.zero_grad()
-        loss.backward()
-        clip_grad_norm(opt.params, strategy.config.grad_clip)
-        opt.step()
-        strategy.model.item_emb.zero_padding_row()
         state.interests = _capture(interests.data.copy())
         return True
 
@@ -566,11 +551,8 @@ class _Pipeline:
         resumed run rebuilds identical optimizer state from the
         boundary; moment rows auto-grow with the embedding table)."""
         if self._opt is None:
-            params = list(self.strategy.model.parameters())
-            if getattr(self.strategy.config, "sparse_adam", False):
-                self._opt = SparseAdam(params, lr=self.strategy.config.lr)
-            else:
-                self._opt = Adam(params, lr=self.strategy.config.lr)
+            self._opt = self.strategy._new_optimizer(
+                list(self.strategy.model.parameters()))
         return self._opt
 
     def _enqueue_pending(self, entry: dict) -> None:

@@ -1,10 +1,15 @@
-"""Equivalence and behavior tests for the batched inference fast path."""
+"""Equivalence and behavior tests for batched no-grad extraction: the
+training kernel of :mod:`repro.models.batched_train` under ``no_grad``."""
 
 import numpy as np
 import pytest
 
-from repro.models import ComiRecDR, ComiRecSA, MIND
-from repro.models.batched import batched_extract_dr, batched_snapshot_refresh
+from repro.autograd import no_grad
+from repro.models import (
+    ComiRecDR,
+    batched_compute_interests,
+    batched_snapshot_interests,
+)
 
 
 @pytest.fixture()
@@ -24,10 +29,17 @@ def make_jobs(model, rng, count=6, expand_some=True):
     return jobs
 
 
+def batched_extract(model, jobs):
+    """Per-job (K_u, d) interests from one batched no-grad extraction."""
+    with no_grad():
+        interests, _, ks = batched_compute_interests(model, jobs)
+    return [interests.data[b, :k] for b, k in enumerate(ks)]
+
+
 class TestEquivalence:
     def test_matches_per_user_extraction(self, model, rng):
         jobs = make_jobs(model, rng)
-        batched = batched_extract_dr(model, jobs)
+        batched = batched_extract(model, jobs)
         for (state, seq), fast in zip(jobs, batched):
             slow = model.compute_interests(state, seq).data
             assert fast.shape == slow.shape
@@ -39,47 +51,34 @@ class TestEquivalence:
         jobs = make_jobs(model, rng, expand_some=True)
         shapes = {b[0].num_interests for b in jobs}
         assert len(shapes) > 1  # the batch really is ragged
-        batched = batched_extract_dr(model, jobs)
+        batched = batched_extract(model, jobs)
         for (state, _), fast in zip(jobs, batched):
             assert fast.shape == (state.num_interests, model.dim)
 
     def test_single_job_batch(self, model, rng):
         jobs = make_jobs(model, rng, count=1)
-        fast = batched_extract_dr(model, jobs)[0]
+        fast = batched_extract(model, jobs)[0]
         slow = model.compute_interests(jobs[0][0], jobs[0][1]).data
         assert np.allclose(fast, slow, atol=1e-10)
 
-    def test_iterations_override(self, model, rng):
-        jobs = make_jobs(model, rng, count=2)
-        one = batched_extract_dr(model, jobs, iterations=1)
-        three = batched_extract_dr(model, jobs, iterations=3)
-        assert not np.allclose(one[0], three[0])
-
 
 class TestValidation:
-    def test_rejects_non_dr_models(self, tiny_split, rng):
-        sa = ComiRecSA(tiny_split.num_items, dim=12, num_interests=3, seed=0)
-        state = sa.init_user_state(0)
-        with pytest.raises(TypeError):
-            batched_extract_dr(sa, [(state, [1, 2])])
-        mind = MIND(tiny_split.num_items, dim=12, num_interests=3, seed=0)
-        with pytest.raises(TypeError):
-            batched_extract_dr(mind, [(mind.init_user_state(0), [1, 2])])
-
     def test_rejects_capsule_normalization(self, tiny_split):
         model = ComiRecDR(tiny_split.num_items, dim=12, num_interests=3,
                           seed=0, routing_normalize="capsules")
         state = model.init_user_state(0)
-        with pytest.raises(ValueError):
-            batched_extract_dr(model, [(state, [1, 2])])
+        with pytest.raises(TypeError):
+            batched_extract(model, [(state, [1, 2])])
 
     def test_rejects_empty_sequence(self, model):
         state = model.init_user_state(0)
         with pytest.raises(ValueError):
-            batched_extract_dr(model, [(state, [])])
+            batched_extract(model, [(state, [])])
 
     def test_empty_batch(self, model):
-        assert batched_extract_dr(model, []) == []
+        with pytest.raises(ValueError):
+            batched_extract(model, [])
+        assert batched_snapshot_interests(model, []) is None
 
 
 class TestSnapshotRefresh:
@@ -92,12 +91,12 @@ class TestSnapshotRefresh:
             clone.created_span = state.created_span.copy()
             model.snapshot_interests(clone, seq)
             reference.append(clone.interests)
-        batched_snapshot_refresh(model, jobs)
+        batched_snapshot_interests(model, jobs)
         for (state, _), expected in zip(jobs, reference):
             assert np.allclose(state.interests, expected, atol=1e-10)
 
     def test_skips_empty_sequences(self, model, rng):
         state = model.init_user_state(0)
         before = state.interests.copy()
-        batched_snapshot_refresh(model, [(state, [])])
+        batched_snapshot_interests(model, [(state, [])])
         assert np.allclose(state.interests, before)
