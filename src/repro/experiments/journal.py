@@ -155,7 +155,10 @@ class SpanJournal:
             "spans": {str(s): r.to_json() for s, r in sorted(self.spans.items())},
             "incidents": self.incidents,
         }
-        blob = json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")
+        # compact, unindented: ``indent`` forces json's pure-Python
+        # encoder, while this form stays on the C one
+        blob = json.dumps(payload, sort_keys=True,
+                          separators=(",", ":")).encode("utf-8")
         atomic_write_bytes(blob, self.path, kind="journal")
 
     @classmethod

@@ -10,7 +10,17 @@ stored under ``extra/``).  This module serializes all of that to a
 single ``.npz`` file and restores it into a freshly constructed
 strategy.
 
-Format v2 adds the guarantees a long-lived service needs:
+Format v3 stores one archive member per *field*, not per user: every
+user's interest rows are packed into one ``users/interests`` matrix (in
+manifest ``users`` order), with ``users/rows`` holding the per-user row
+counts that split it back apart on load; the other per-user fields
+(``prev_interests``, ``created_span``, ``n_existing``, the NID
+``expanded`` guard and SA attention weights) are packed the same way.
+Members are *stored*, not deflated: float payloads barely compress, and
+the per-member zlib, zip and ``.npy`` header cost of the old per-user
+layout dominated every save.
+
+The format keeps the guarantees a long-lived service needs:
 
 * **atomic writes** — the archive is staged to a temp file, fsynced, and
   committed with ``os.replace``; a crash at any instant leaves either
@@ -26,8 +36,9 @@ Format v2 adds the guarantees a long-lived service needs:
   additionally re-hashes every array against the manifest, and
   :func:`load_checkpoint` always verifies *before* mutating any state,
   so a corrupt file can never half-restore a strategy;
-* **v1 compatibility** — archives written before the manifest existed
-  still load (zip CRCs are their only integrity check).
+* **v1/v2 compatibility** — per-user v2 archives still verify and
+  load, and archives written before the manifest existed (v1) still
+  load too (zip CRCs are their only integrity check).
 
 Example
 -------
@@ -62,7 +73,7 @@ PathLike = Union[str, Path]
 
 logger = get_logger(__name__)
 
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 
 #: whole-file integrity trailer: b"\n" + marker + 64 hex chars + b"\n",
 #: appended after the zip end-of-central-directory record
@@ -100,9 +111,10 @@ class CheckpointIOError(CheckpointError, OSError):
 def normalize_checkpoint_path(path: PathLike) -> Path:
     """Canonical on-disk location for a checkpoint path.
 
-    ``np.savez_compressed`` silently appends ``.npz`` when the suffix is
-    missing; normalizing once in both directions keeps ``save``/``load``
-    symmetric for suffix-less paths like ``"span3"``.
+    Checkpoints are ``.npz`` archives, and ``np.savez``/``np.load``
+    append ``.npz`` to a suffix-less name; normalizing once in both
+    directions keeps ``save``/``load`` symmetric for paths like
+    ``"span3"``.
     """
     p = Path(path)
     if p.suffix != ".npz":
@@ -174,24 +186,53 @@ def run_fingerprint(strategy: IncrementalStrategy) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _packed(parts, empty: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Concatenate per-user arrays into one archive member.
+
+    Zero-length parts are left out of the concatenation so they cannot
+    promote its dtype (``create_missing`` builds float64 ``(0, d)``
+    placeholders, which would otherwise widen a float32 run's state).
+    """
+    parts = [p for p in parts if p.shape[axis]]
+    if not parts:
+        return empty
+    return np.concatenate(parts, axis=axis)
+
+
 def _collect_arrays(strategy: IncrementalStrategy) -> Dict[str, np.ndarray]:
     arrays: Dict[str, np.ndarray] = {}
     for name, param in strategy.model.named_parameters():
         arrays[f"param/{name}"] = param.data
-    # sorted: the archive member order is part of the determinism
-    # contract (same state -> byte-identical layout), not insertion luck.
-    # Snapshot-style members are frozen at this capture boundary; live
+    # one member per field, users packed row-wise in manifest ``users``
+    # order (sorted: same state -> byte-identical archive).  The live
+    # snapshot-style arrays are frozen at this capture boundary; live
     # trainables (param/, sa_weights) stay writable for the optimizer.
-    for user, state in sorted(strategy.states.items()):
-        arrays[f"user/{user}/interests"] = _capture(state.interests)
-        arrays[f"user/{user}/prev_interests"] = _capture(state.prev_interests)
-        arrays[f"user/{user}/created_span"] = _capture(state.created_span)
-        arrays[f"user/{user}/n_existing"] = np.array([state.n_existing])
-        # NID's once-per-span guard: replayed-but-inactive users carry it
-        # across span boundaries, so a resume must restore it too
-        arrays[f"user/{user}/expanded"] = np.array([state.expanded_this_span])
-        if state.sa_weights is not None:
-            arrays[f"user/{user}/sa_weights"] = state.sa_weights.data
+    states = [strategy.states[user] for user in sorted(strategy.states)]
+    dim = strategy.model.dim
+    interests = [_capture(s.interests) for s in states]
+    prev_interests = [_capture(s.prev_interests) for s in states]
+    created_span = [_capture(s.created_span) for s in states]
+    arrays["users/rows"] = np.array([len(a) for a in interests],
+                                    dtype=np.int64)
+    arrays["users/prev_rows"] = np.array([len(a) for a in prev_interests],
+                                         dtype=np.int64)
+    arrays["users/interests"] = _packed(interests, np.zeros((0, dim)))
+    arrays["users/prev_interests"] = _packed(prev_interests,
+                                             np.zeros((0, dim)))
+    arrays["users/created_span"] = _packed(created_span,
+                                           np.zeros(0, dtype=np.int64))
+    arrays["users/n_existing"] = np.array([s.n_existing for s in states],
+                                          dtype=np.int64)
+    # NID's once-per-span guard: replayed-but-inactive users carry it
+    # across span boundaries, so a resume must restore it too
+    arrays["users/expanded"] = np.array(
+        [s.expanded_this_span for s in states], dtype=bool)
+    # SA attention weights are (d_a, K) per user: packed column-wise, so
+    # ``users/rows`` splits them too
+    sa_weights = [s.sa_weights.data for s in states if s.sa_weights is not None]
+    if sa_weights:
+        arrays["users/sa_weights"] = _packed(
+            sa_weights, np.zeros((len(sa_weights[0]), 0)), axis=1)
     # strategy-specific state beyond the base contract: replay pools,
     # Fisher estimates, diagnostic logs (see IncrementalStrategy.extra_state)
     for name, arr in sorted(strategy.extra_state().items()):
@@ -205,35 +246,33 @@ def save_checkpoint(strategy: IncrementalStrategy, path: PathLike,
     extra state, and RNG streams; returns the normalized path the
     archive landed at."""
     path = normalize_checkpoint_path(path)
-    arrays = _collect_arrays(strategy)
-
-    manifest = {
-        "version": _FORMAT_VERSION,
-        "strategy": strategy.name,
-        "model_family": strategy.model.family,
-        "users": sorted(strategy.states),
-        "span": span,
-        "fingerprint": run_fingerprint(strategy),
-        "rng": {
-            name: gen.bit_generator.state
-            for name, gen in strategy.random_generators().items()
-        },
-        "arrays": {
-            name: {
-                "sha256": _array_digest(arr),
-                "shape": list(arr.shape),
-                "dtype": str(arr.dtype),
-            }
-            for name, arr in arrays.items()
-        },
-    }
-    payload = dict(arrays)
-    payload["manifest"] = np.frombuffer(
-        json.dumps(manifest).encode("utf-8"), dtype=np.uint8
-    )
     with obs.span("checkpoint.save", file=path.name, span_id=span):
+        arrays = _collect_arrays(strategy)
+        manifest = {
+            "version": _FORMAT_VERSION,
+            "strategy": strategy.name,
+            "model_family": strategy.model.family,
+            "users": sorted(strategy.states),
+            "span": span,
+            "fingerprint": run_fingerprint(strategy),
+            "rng": {
+                name: gen.bit_generator.state
+                for name, gen in strategy.random_generators().items()
+            },
+            "arrays": {
+                name: {
+                    "sha256": _array_digest(arr),
+                    "shape": list(arr.shape),
+                    "dtype": str(arr.dtype),
+                }
+                for name, arr in arrays.items()
+            },
+        }
+        arrays["manifest"] = np.frombuffer(
+            json.dumps(manifest).encode("utf-8"), dtype=np.uint8
+        )
         buffer = io.BytesIO()
-        np.savez_compressed(buffer, **payload)
+        np.savez(buffer, **arrays)
         blob = buffer.getvalue()
         trailer = (b"\n" + _TRAILER_MARKER
                    + hashlib.sha256(blob).hexdigest().encode("ascii") + b"\n")
@@ -264,11 +303,12 @@ def _split_trailer(data: bytes):
 def _read_archive(path: Path, verify: bool = True):
     """Load (manifest, arrays) fully into memory, validating integrity.
 
-    Returns the parsed manifest/meta dict and a ``{name: ndarray}`` map.
-    Every array is read eagerly so zip CRC checks run here, and (for v2)
-    every SHA-256 is compared against the manifest — all *before* any
-    caller mutates strategy state.  Raises :class:`CheckpointError` on
-    any corruption, truncation, or malformed metadata.
+    Returns the parsed manifest/meta dict and a ``{name: ndarray}`` map
+    of archive members.  Every array is read eagerly so zip CRC checks
+    run here, and (for v2 and v3) every SHA-256 is compared against the
+    manifest — all *before* any caller mutates strategy state.  Raises
+    :class:`CheckpointError` on any corruption, truncation, or malformed
+    metadata.
     """
     if not path.exists():
         raise CheckpointError(f"checkpoint {path} does not exist")
@@ -304,19 +344,19 @@ def _read_archive(path: Path, verify: bool = True):
     except (OSError, ValueError, KeyError, EOFError, NotImplementedError,
             zipfile.BadZipFile, zlib.error) as exc:
         # the open-ended exception set zipfile/np.load raise on mangled
-        # input; v2 files never get here corrupt (whole-file hash above)
+        # input; v2+ files never get here corrupt (whole-file hash above)
         raise CheckpointError(
             f"checkpoint {path} is corrupt or truncated: {exc}") from exc
 
     version = meta.get("version")
-    if version not in (1, _FORMAT_VERSION):
+    if version not in (1, 2, _FORMAT_VERSION):
         raise CheckpointError(
             f"unsupported checkpoint version {version!r} in {path}")
-    if version == _FORMAT_VERSION and declared_digest is None:
+    if version >= 2 and declared_digest is None:
         raise CheckpointError(
-            f"checkpoint {path} declares format v2 but its whole-file "
-            f"integrity trailer is missing or mangled")
-    if verify and version == _FORMAT_VERSION:
+            f"checkpoint {path} declares format v{version} but its "
+            f"whole-file integrity trailer is missing or mangled")
+    if verify and version >= 2:
         declared = meta.get("arrays", {})
         if set(declared) != set(arrays):
             missing = sorted(set(declared) - set(arrays))
@@ -338,16 +378,80 @@ def _read_archive(path: Path, verify: bool = True):
     return meta, arrays
 
 
+def _user_view(meta: Dict[str, object], arrays: Dict[str, np.ndarray],
+               path: Path) -> Dict[str, np.ndarray]:
+    """The per-user ``user/<id>/<field>`` view of a checkpoint's arrays.
+
+    v1/v2 archives already store one member per user per field.  A v3
+    archive packs each field across users; it is split here by the
+    cumulative ``users/rows`` / ``users/prev_rows`` counts (views, no
+    copies), after checking every count against the packed lengths.
+    Raises :class:`CheckpointError` on any disagreement, before the
+    caller mutates anything.
+    """
+    if meta.get("version") != _FORMAT_VERSION:
+        return arrays
+    users = meta["users"]
+    try:
+        rows = arrays["users/rows"]
+        prev_rows = arrays["users/prev_rows"]
+        interests = arrays["users/interests"]
+        prev_interests = arrays["users/prev_interests"]
+        created_span = arrays["users/created_span"]
+        n_existing = arrays["users/n_existing"]
+        expanded = arrays["users/expanded"]
+    except KeyError as exc:
+        raise CheckpointError(
+            f"checkpoint {path} lacks packed user member {exc}") from exc
+    sa_weights = arrays.get("users/sa_weights")
+    per_user = (rows, prev_rows, n_existing, expanded)
+    if (any(a.shape != (len(users),) for a in per_user)
+            or rows.dtype.kind != "i" or prev_rows.dtype.kind != "i"
+            or (rows < 0).any() or (prev_rows < 0).any()):
+        raise CheckpointError(
+            f"checkpoint {path} per-user counts do not match its "
+            f"{len(users)} user(s)")
+    total, prev_total = int(rows.sum()), int(prev_rows.sum())
+    lengths = [len(interests), len(created_span)]
+    if sa_weights is not None:
+        lengths.append(sa_weights.shape[1] if sa_weights.ndim == 2 else -1)
+    if (any(n != total for n in lengths)
+            or len(prev_interests) != prev_total):
+        raise CheckpointError(
+            f"checkpoint {path} row counts disagree with its packed user "
+            f"members (rows sum {total}, prev_rows sum {prev_total})")
+
+    view = {name: arr for name, arr in arrays.items()
+            if not name.startswith("users/")}
+    ends = np.cumsum(rows).tolist()
+    prev_ends = np.cumsum(prev_rows).tolist()
+    start = prev_start = 0
+    for i, user in enumerate(users):
+        end, prev_end = ends[i], prev_ends[i]
+        view[f"user/{user}/interests"] = interests[start:end]
+        view[f"user/{user}/prev_interests"] = prev_interests[prev_start:prev_end]
+        view[f"user/{user}/created_span"] = created_span[start:end]
+        view[f"user/{user}/n_existing"] = n_existing[i:i + 1]
+        view[f"user/{user}/expanded"] = expanded[i:i + 1]
+        if sa_weights is not None:
+            view[f"user/{user}/sa_weights"] = sa_weights[:, start:end]
+        start, prev_start = end, prev_end
+    return view
+
+
 def verify_checkpoint(path: PathLike) -> Dict[str, object]:
     """Fully validate a checkpoint's integrity; returns its manifest.
 
-    For format v2 every array is re-hashed against the manifest; any
-    single flipped byte or truncation raises :class:`CheckpointError`.
-    Format v1 archives only get the zip-level CRC check (every array is
-    still read in full, so torn files are rejected).
+    For formats v2 and v3 every array is re-hashed against the
+    manifest; any single flipped byte or truncation raises
+    :class:`CheckpointError`, and a v3 archive's per-user row counts must
+    match its packed members.  Format v1 archives only get the zip-level
+    CRC check (every array is still read in full, so torn files are
+    rejected).
     """
     path = normalize_checkpoint_path(path)
-    meta, _ = _read_archive(path, verify=True)
+    meta, arrays = _read_archive(path, verify=True)
+    _user_view(meta, arrays, path)
     return meta
 
 
@@ -381,6 +485,7 @@ def load_checkpoint(strategy: IncrementalStrategy, path: PathLike,
     path = normalize_checkpoint_path(path)
     with obs.span("checkpoint.load", file=path.name):
         meta, arrays = _read_archive(path, verify=True)
+        arrays = _user_view(meta, arrays, path)
         obs.counter("checkpoint.loads")
 
     if meta.get("model_family") != strategy.model.family:
@@ -479,7 +584,11 @@ def load_checkpoint(strategy: IncrementalStrategy, path: PathLike,
 
 def checkpoint_info(path: PathLike, verify: bool = False) -> Dict[str, object]:
     """Read a checkpoint's metadata; with ``verify``, re-hash every
-    array against the manifest first."""
+    array against the manifest first.
+
+    ``num_arrays`` counts archive members (manifest included), so a v3
+    checkpoint reports one per field, not one per user per field.
+    """
     path = normalize_checkpoint_path(path)
     meta, arrays = _read_archive(path, verify=verify)
     meta["num_arrays"] = len(arrays) + 1  # + the manifest entry itself

@@ -6,6 +6,8 @@ run executed uninterrupted — checkpoints capture every RNG stream, so
 the resumed process continues the exact random sequence.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,19 @@ class TestJournaledRun:
         assert sorted(journal.spans) == list(range(tiny_split.T))
         assert journal.spans[0].hr is None  # pretraining has no evaluation
         assert journal.last_restorable_span() == tiny_split.T - 1
+
+    def test_indented_journal_still_loads(self, journaled, tmp_path):
+        """Journals are written compact (one line, json's C encoder);
+        ones written indented load identically."""
+        ckdir, _ = journaled
+        text = (ckdir / JOURNAL_NAME).read_text()
+        assert "\n" not in text
+        (tmp_path / JOURNAL_NAME).write_text(
+            json.dumps(json.loads(text), indent=2, sort_keys=True))
+        compact, indented = SpanJournal.load(ckdir), SpanJournal.load(tmp_path)
+        assert indented.fingerprint == compact.fingerprint
+        assert ({s: r.to_json() for s, r in indented.spans.items()}
+                == {s: r.to_json() for s, r in compact.spans.items()})
 
     def test_resume_of_complete_run_recomputes_nothing(
             self, tiny_split, journaled, baseline):

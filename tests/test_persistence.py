@@ -1,18 +1,24 @@
-"""Tests for checkpoint save/load round-trips and format-v2 integrity."""
+"""Tests for checkpoint save/load round-trips and format-v3 integrity."""
 
+import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
 
+from repro.backend import use_backend
+from repro.data import ALPHA, T_SPANS, dataset_config, generate_world, split_time_spans
 from repro.experiments import make_strategy, run_strategy
 from repro.faults import FaultPlan, InjectedIOError, SimulatedCrash, active, flip_one_byte
 from repro.incremental import TrainConfig
+from repro.models.base import UserState
 from repro.persistence import (
     CheckpointError,
     checkpoint_info,
     load_checkpoint,
     normalize_checkpoint_path,
+    run_fingerprint,
     save_checkpoint,
     verify_checkpoint,
 )
@@ -180,7 +186,7 @@ class TestPathNormalization:
         save_checkpoint(strategy, tmp_path / "span3")
         fresh = build(tiny_split, fast_config)
         load_checkpoint(fresh, tmp_path / "span3")  # symmetric round trip
-        assert verify_checkpoint(tmp_path / "span3")["version"] == 2
+        assert verify_checkpoint(tmp_path / "span3")["version"] == 3
 
     def test_normalize_is_idempotent(self):
         assert normalize_checkpoint_path("a/b.npz").name == "b.npz"
@@ -189,7 +195,7 @@ class TestPathNormalization:
 
 
 class TestIntegrity:
-    """Format v2: any flipped byte or truncation must be detected."""
+    """Format v3: any flipped byte or truncation must be detected."""
 
     @pytest.fixture()
     def saved(self, tiny_split, fast_config, tmp_path):
@@ -201,7 +207,7 @@ class TestIntegrity:
     def test_verify_returns_manifest(self, saved):
         _, path = saved
         meta = verify_checkpoint(path)
-        assert meta["version"] == 2
+        assert meta["version"] == 3
         assert set(meta["rng"]) == {"model", "sampler", "strategy"}
         assert all("sha256" in entry for entry in meta["arrays"].values())
 
@@ -245,13 +251,15 @@ class TestIntegrity:
             verify_checkpoint(tmp_path / "nope.npz")
 
     def test_v2_without_trailer_is_rejected(self, saved, tmp_path):
-        """Stripping the whole-file trailer must not downgrade a v2 file
-        to unchecked reads."""
-        _, path = saved
-        stripped = tmp_path / "stripped.npz"
-        stripped.write_bytes(path.read_bytes()[:-90])
-        with pytest.raises(CheckpointError, match="trailer"):
-            verify_checkpoint(stripped)
+        """Stripping the whole-file trailer must not downgrade a v2 or a
+        v3 file to unchecked reads."""
+        strategy, path = saved
+        v2 = TestV2Compatibility().write_v2(strategy, tmp_path / "v2.npz")
+        for source in (v2, path):
+            stripped = tmp_path / "stripped.npz"
+            stripped.write_bytes(source.read_bytes()[:-90])
+            with pytest.raises(CheckpointError, match="trailer"):
+                verify_checkpoint(stripped)
 
     def test_direct_np_load_still_works(self, saved):
         """The trailer lives after the zip EOCD, so plain ``np.load`` on
@@ -395,6 +403,264 @@ class TestV1Compatibility:
         torn.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         with pytest.raises(CheckpointError):
             verify_checkpoint(torn)
+
+
+def _digest(arr):
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+
+
+def _write_archive(path, arrays, manifest, savez):
+    """Write ``arrays`` plus a manifest re-hashed over them, followed by
+    the whole-file SHA-256 trailer, as ``save_checkpoint`` lays it out."""
+    manifest = dict(manifest, arrays={
+        name: {"sha256": _digest(arr), "shape": list(arr.shape),
+               "dtype": str(arr.dtype)}
+        for name, arr in arrays.items()})
+    payload = dict(arrays, manifest=np.frombuffer(
+        json.dumps(manifest).encode("utf-8"), dtype=np.uint8))
+    buffer = io.BytesIO()
+    savez(buffer, **payload)
+    blob = buffer.getvalue()
+    trailer = (b"\nrepro-checkpoint-sha256:"
+               + hashlib.sha256(blob).hexdigest().encode("ascii") + b"\n")
+    path.write_bytes(blob + trailer)
+    return path
+
+
+def _members(path):
+    with np.load(path, allow_pickle=False) as archive:
+        members = {name: archive[name] for name in archive.files}
+    manifest = json.loads(members.pop("manifest").tobytes().decode("utf-8"))
+    return manifest, members
+
+
+def assert_same_state(expected, actual):
+    """Parameters, every user-state field and RNG streams are bit-identical,
+    dtypes included (an empty array's dtype carries no data and may
+    differ)."""
+    for (name, a), (_, b) in zip(expected.model.named_parameters(),
+                                 actual.model.named_parameters()):
+        assert a.data.dtype == b.data.dtype, name
+        assert np.array_equal(a.data, b.data), name
+    assert sorted(expected.states) == sorted(actual.states)
+    for user, state in expected.states.items():
+        restored = actual.states[user]
+        for field in ("interests", "prev_interests", "created_span"):
+            a, b = getattr(state, field), getattr(restored, field)
+            assert a.shape == b.shape, (user, field)
+            assert a.size == 0 or a.dtype == b.dtype, (user, field)
+            assert np.array_equal(a, b), (user, field)
+        assert state.n_existing == restored.n_existing, user
+        assert state.expanded_this_span == restored.expanded_this_span, user
+        if state.sa_weights is not None:
+            a, b = state.sa_weights.data, restored.sa_weights.data
+            assert a.dtype == b.dtype and a.shape == b.shape, user
+            assert np.array_equal(a, b), user
+    for name, gen in expected.random_generators().items():
+        assert (gen.bit_generator.state
+                == actual.random_generators()[name].bit_generator.state), name
+
+
+def heterogeneous(strategy):
+    """Give users different interest counts: two expanded, one with the
+    zero-row state ``load_checkpoint(create_missing=True)`` builds."""
+    users = sorted(strategy.states)
+    strategy.model.expand_user(strategy.states[users[0]], 3, span=1)
+    strategy.model.expand_user(strategy.states[users[1]], 1, span=1)
+    strategy.states[users[1]].expanded_this_span = True
+    if strategy.model.family == "dr":
+        dim = strategy.model.dim
+        strategy.states[users[2]] = UserState(
+            user=users[2], interests=np.zeros((0, dim)),
+            prev_interests=np.zeros((0, dim)),
+            created_span=np.zeros(0, dtype=np.int64), n_existing=0)
+    return users
+
+
+class TestV2Compatibility:
+    def write_v2(self, strategy, path, span=None):
+        """Re-create the v2 layout: one deflated member per user per
+        field, a per-array SHA-256 manifest and the whole-file trailer."""
+        arrays = {}
+        for name, param in strategy.model.named_parameters():
+            arrays[f"param/{name}"] = param.data.copy()
+        for user, state in sorted(strategy.states.items()):
+            arrays[f"user/{user}/interests"] = state.interests
+            arrays[f"user/{user}/prev_interests"] = state.prev_interests
+            arrays[f"user/{user}/created_span"] = state.created_span
+            arrays[f"user/{user}/n_existing"] = np.array([state.n_existing])
+            arrays[f"user/{user}/expanded"] = np.array(
+                [state.expanded_this_span])
+            if state.sa_weights is not None:
+                arrays[f"user/{user}/sa_weights"] = state.sa_weights.data.copy()
+        for name, arr in sorted(strategy.extra_state().items()):
+            arrays[f"extra/{name}"] = np.asarray(arr)
+        manifest = {
+            "version": 2,
+            "strategy": strategy.name,
+            "model_family": strategy.model.family,
+            "users": sorted(strategy.states),
+            "span": span,
+            "fingerprint": run_fingerprint(strategy),
+            "rng": {name: gen.bit_generator.state
+                    for name, gen in strategy.random_generators().items()},
+        }
+        return _write_archive(path, arrays, manifest, np.savez_compressed)
+
+    @pytest.mark.parametrize("model", ["ComiRec-DR", "ComiRec-SA"])
+    def test_v2_archive_loads_bit_identically(self, tiny_split, fast_config,
+                                              tmp_path, model):
+        strategy = build(tiny_split, fast_config, model=model)
+        strategy.pretrain()
+        strategy.train_span(1)
+        heterogeneous(strategy)
+        path = self.write_v2(strategy, tmp_path / "v2.npz", span=1)
+
+        fresh = build(tiny_split, fast_config, model=model)
+        meta = load_checkpoint(fresh, path)
+        assert meta["version"] == 2 and meta["span"] == 1
+        assert_same_state(strategy, fresh)
+
+    def test_v2_verify_reports_version_and_rejects_flipped_byte(
+            self, tiny_split, fast_config, tmp_path):
+        strategy = build(tiny_split, fast_config)
+        strategy.pretrain()
+        path = self.write_v2(strategy, tmp_path / "v2.npz")
+        assert verify_checkpoint(path)["version"] == 2
+        assert checkpoint_info(path)["num_arrays"] > 5 * len(strategy.states)
+
+        fresh = build(tiny_split, fast_config)
+        snapshot = fresh.model.state_dict()
+        size = path.stat().st_size
+        for offset in (0, size // 3, size // 2, size - 1):
+            flip_one_byte(path, offset=offset)
+            with pytest.raises(CheckpointError):
+                verify_checkpoint(path)
+            with pytest.raises(CheckpointError):
+                load_checkpoint(fresh, path)
+            for name, value in fresh.model.state_dict().items():
+                assert np.array_equal(value, snapshot[name]), (offset, name)
+            flip_one_byte(path, offset=offset)
+        verify_checkpoint(path)
+
+
+class TestPackedLayout:
+    """Format v3 packs each per-user field into one archive member."""
+
+    def test_heterogeneous_k_with_zero_row_user(self, tiny_split,
+                                                fast_config, tmp_path):
+        strategy = build(tiny_split, fast_config)
+        strategy.pretrain()
+        users = heterogeneous(strategy)
+        path = save_checkpoint(strategy, tmp_path / "ckpt.npz")
+        _, members = _members(path)
+        rows = [strategy.states[u].num_interests for u in users]
+        assert members["users/rows"].tolist() == rows
+        assert members["users/interests"].shape == (sum(rows), 10)
+
+        fresh = build(tiny_split, fast_config)
+        load_checkpoint(fresh, path)
+        assert_same_state(strategy, fresh)
+        assert fresh.states[users[2]].interests.shape == (0, 10)
+
+    def test_sa_weights_with_heterogeneous_k(self, tiny_split, fast_config,
+                                             tmp_path):
+        strategy = build(tiny_split, fast_config, model="ComiRec-SA")
+        strategy.pretrain()
+        heterogeneous(strategy)
+        counts = {s.num_interests for s in strategy.states.values()}
+        assert len(counts) > 1
+        path = save_checkpoint(strategy, tmp_path / "sa.npz")
+        _, members = _members(path)
+        total = sum(s.num_interests for s in strategy.states.values())
+        assert members["users/sa_weights"].shape == (
+            strategy.model.attention_dim, total)
+
+        fresh = build(tiny_split, fast_config, model="ComiRec-SA")
+        load_checkpoint(fresh, path)
+        assert_same_state(strategy, fresh)
+
+    def test_empty_states(self, tiny_split, fast_config, tmp_path):
+        strategy = build(tiny_split, fast_config)
+        strategy.pretrain()
+        strategy.states.clear()
+        path = save_checkpoint(strategy, tmp_path / "empty.npz")
+        meta = verify_checkpoint(path)
+        assert meta["users"] == []
+        assert meta["arrays"]["users/interests"]["shape"] == [0, 10]
+
+        fresh = build(tiny_split, fast_config)
+        fresh.states.clear()
+        load_checkpoint(fresh, path)
+        assert_same_state(strategy, fresh)
+
+    @pytest.mark.parametrize("model", ["ComiRec-DR", "ComiRec-SA"])
+    def test_float32_state_keeps_its_dtype(self, tiny_split, fast_config,
+                                           tmp_path, model):
+        """The DR case also holds a float64 zero-row user, which must not
+        widen the packed float32 members."""
+        with use_backend("fast"):  # what REPRO_BACKEND=fast selects
+            strategy = build(tiny_split, fast_config, model=model)
+            strategy.pretrain()
+            heterogeneous(strategy)
+            path = save_checkpoint(strategy, tmp_path / "f32.npz")
+            fresh = build(tiny_split, fast_config, model=model)
+            load_checkpoint(fresh, path)
+        state = strategy.states[sorted(strategy.states)[0]]
+        assert state.interests.dtype == np.float32
+        _, members = _members(path)
+        assert members["users/interests"].dtype == np.float32
+        assert members["users/prev_interests"].dtype == np.float32
+        assert_same_state(strategy, fresh)
+
+    def test_member_count_does_not_grow_with_users(self, tiny_split,
+                                                   fast_config, tmp_path):
+        config = dataset_config("taobao", scale=1.0)
+        world = generate_world(config)
+        split = split_time_spans(world.interactions,
+                                 num_items=config.num_items,
+                                 T=T_SPANS, alpha=ALPHA)
+        counts = []
+        for name, data in (("tiny", tiny_split), ("taobao", split)):
+            strategy = make_strategy("IMSR", "ComiRec-DR", data, fast_config)
+            path = save_checkpoint(strategy, tmp_path / f"{name}.npz")
+            with np.load(path, allow_pickle=False) as archive:
+                counts.append(len(archive.files))
+            assert checkpoint_info(path)["num_arrays"] == counts[-1]
+            counts.append(len(strategy.states))
+        assert counts[0] == counts[2]  # archive members
+        assert counts[1] < counts[3]   # users
+
+    @pytest.mark.parametrize("corruption", ["sum", "length", "negative"])
+    def test_row_count_mismatch_rejected_before_mutation(
+            self, tiny_split, fast_config, tmp_path, corruption):
+        """Row counts that disagree with the packed members are refused
+        even when every checksum matches (a writer bug, not bit rot)."""
+        strategy = build(tiny_split, fast_config)
+        strategy.pretrain()
+        path = save_checkpoint(strategy, tmp_path / "ckpt.npz")
+        manifest, members = _members(path)
+        rows = members["users/rows"].copy()
+        if corruption == "sum":
+            rows[0] += 1
+        elif corruption == "length":
+            rows = rows[:-1]
+        else:
+            rows[0], rows[1] = -1, rows[1] + rows[0] + 1
+        members["users/rows"] = rows
+        _write_archive(path, members, manifest, np.savez)
+
+        with pytest.raises(CheckpointError, match="row counts|per-user counts"):
+            verify_checkpoint(path)
+        fresh = build(tiny_split, fast_config)  # differs from the file
+        before = {u: s.interests.copy() for u, s in fresh.states.items()}
+        snapshot = fresh.model.state_dict()
+        with pytest.raises(CheckpointError):
+            load_checkpoint(fresh, path)
+        for name, value in fresh.model.state_dict().items():
+            assert np.array_equal(value, snapshot[name]), name
+        for user, interests in before.items():
+            assert np.array_equal(fresh.states[user].interests, interests)
 
 
 class TestIOFaults:

@@ -3,6 +3,7 @@ integrity (byte-flip property tests), and mid-stream catalog growth."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -174,6 +175,25 @@ class TestStreamJournal:
         assert loaded.intervals[1].window_recall == 0.5
         assert loaded.state == {"interval": 2, "offset": 30}
         assert loaded.prev_state == {"interval": 1, "offset": 20}
+        assert loaded.incidents == written.incidents
+
+    def test_indented_journal_still_loads(self, tmp_path):
+        """Journals are written compact (one line, json's C encoder);
+        ones written indented under the same trailer load identically."""
+        written = make_journal(tmp_path)
+        marker = b"\nrepro-stream-journal-sha256:"
+        body = written.path.read_bytes()[:-(len(marker) + 65)]
+        assert b"\n" not in body
+        indented = json.dumps(json.loads(body), indent=2,
+                              sort_keys=True).encode("utf-8")
+        written.path.write_bytes(
+            indented + marker
+            + hashlib.sha256(indented).hexdigest().encode("ascii") + b"\n")
+        loaded = StreamJournal.load(tmp_path)
+        assert ({i: r.to_json() for i, r in loaded.intervals.items()}
+                == {i: r.to_json() for i, r in written.intervals.items()})
+        assert loaded.state == written.state
+        assert loaded.prev_state == written.prev_state
         assert loaded.incidents == written.incidents
 
     def test_chain_is_order_sensitive(self):
