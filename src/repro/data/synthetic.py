@@ -17,10 +17,30 @@ properties the paper's mechanisms exploit:
 Ground truth (each user's active-topic timeline) is retained on the
 generated world so tests and case studies can verify that e.g. NID fires
 exactly for users who adopted a new topic.
+
+**Draw-for-draw contract.** Every seed-averaged number in the repo
+depends on which world a seed produces, so the sequence of calls the
+generator makes on its seeded ``numpy.random.Generator`` is fixed.
+Each interaction is drawn with the calls ``Generator.choice`` would
+make: one ``random()`` for the noise test, then either
+``integers(0, n)`` for a noise item, or one ``random()`` searched into
+the user's topic CDF and one into the topic's Zipf CDF.  The
+sampling tables (per ``(topic, period)`` live items and CDF, per period
+released items, per ``emit`` the user's topic CDF) are built and
+validated once, with ``choice``'s checks and error messages, instead of
+on every draw; ``tests/test_world_equivalence.py`` keeps the per-draw
+generator as an oracle and asserts bitwise-identical worlds and
+identical errors.
+
+Known quirk, kept for reproducibility: a topic with no item released by
+the current period draws from its *whole* pool, unreleased items
+included (and a topic with no items at all draws from the whole
+catalog).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
@@ -95,12 +115,16 @@ class InterestWorld:
         return self.config.num_items
 
     def new_topic_users(self, period: int) -> Set[int]:
-        """Users whose active-topic set grew at ``period`` (ground truth)."""
-        grew = set()
-        for user, timeline in self.user_topic_timeline.items():
-            if period < len(timeline) and timeline[period] - timeline[period - 1]:
-                grew.add(user)
-        return grew
+        """Users whose active-topic set grew at ``period`` (ground truth).
+
+        ``period`` is an incremental span, ``1..num_spans``; any other
+        value raises :class:`ValueError`.
+        """
+        if not 1 <= period <= self.config.num_spans:
+            raise ValueError(
+                f"period must be in 1..{self.config.num_spans}, got {period}")
+        return {user for user, timeline in self.user_topic_timeline.items()
+                if timeline[period] - timeline[period - 1]}
 
 
 def _zipf_weights(n: int, exponent: float) -> np.ndarray:
@@ -109,10 +133,45 @@ def _zipf_weights(n: int, exponent: float) -> np.ndarray:
     return weights / weights.sum()
 
 
+#: ``Generator.choice``'s tolerance on ``|sum(p) - 1|`` for float64 ``p``
+_P_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def _require_nonempty(size: int) -> None:
+    if size == 0:
+        raise ValueError("a cannot be empty unless no samples are taken")
+
+
+def _sampling_cdf(p: np.ndarray) -> List[float]:
+    """Check ``p`` as ``Generator.choice(a, p=p)`` does and return its CDF.
+
+    ``a[bisect_right(cdf, rng.random())]`` then returns the element
+    ``rng.choice(a, p=p)`` would, from the same single draw: ``choice``
+    searches ``cumsum(p) / cumsum(p)[-1]`` for one ``random()`` value.
+    """
+    _require_nonempty(p.size)
+    values = p.tolist()
+    total, carry = values[0], 0.0  # choice checks a Kahan sum of p
+    for value in values[1:]:
+        y = value - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+    if np.isnan(total):
+        raise ValueError("Probabilities contain NaN")
+    if (p < 0).any():
+        raise ValueError("Probabilities are not non-negative")
+    if abs(total - 1.0) > _P_ATOL:
+        raise ValueError("Probabilities do not sum to 1. See Notes section "
+                         "of docstring for more information.")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 def generate_world(config: WorldConfig) -> InterestWorld:
     """Generate an :class:`InterestWorld` from ``config`` (deterministic)."""
     rng = np.random.default_rng(config.seed)
-    n_periods = config.num_spans + 1  # period 0 is the pretraining window
 
     # --- topics and items -------------------------------------------------
     topic_centers = rng.normal(size=(config.num_topics, config.latent_dim))
@@ -125,17 +184,34 @@ def generate_world(config: WorldConfig) -> InterestWorld:
         late_items = rng.choice(config.num_items, size=n_late, replace=False)
         release[late_items] = rng.integers(1, config.num_spans + 1, size=n_late)
 
-    # Pre-compute, per (topic, period), the candidate items and popularity.
+    # Sampling tables, each built and checked on its first draw (where
+    # the per-draw choice call would first have checked it): per (topic,
+    # period) the candidate items and their Zipf CDF, per period the
+    # released items that noise draws pick from.
     topic_items: List[np.ndarray] = [
         np.where(item_topics == t)[0] for t in range(config.num_topics)
     ]
+    item_tables: Dict[Tuple[int, int], Tuple[List[int], List[float]]] = {}
+    released: Dict[int, List[int]] = {}
 
-    def items_for(topic: int, period: int) -> Tuple[np.ndarray, np.ndarray]:
-        pool = topic_items[topic]
-        live = pool[release[pool] <= period]
-        if live.size == 0:
-            live = pool if pool.size else np.arange(config.num_items)
-        return live, _zipf_weights(live.size, config.popularity_exponent)
+    def items_for(topic: int, period: int) -> Tuple[List[int], List[float]]:
+        table = item_tables.get((topic, period))
+        if table is None:
+            pool = topic_items[topic]
+            live = pool[release[pool] <= period]
+            if live.size == 0:
+                live = pool if pool.size else np.arange(config.num_items)
+            cdf = _sampling_cdf(_zipf_weights(live.size, config.popularity_exponent))
+            table = item_tables[(topic, period)] = (live.tolist(), cdf)
+        return table
+
+    def released_by(period: int) -> List[int]:
+        live = released.get(period)
+        if live is None:
+            live = np.where(release <= period)[0].tolist()
+            _require_nonempty(len(live))
+            released[period] = live
+        return live
 
     # --- users -------------------------------------------------------------
     interactions: List[Interaction] = []
@@ -164,16 +240,21 @@ def generate_world(config: WorldConfig) -> InterestWorld:
             topics = sorted(active)
             probs = np.array([max(weights[t], 1e-3) for t in topics])
             probs = probs / probs.sum()
+            topic_cdf = None  # checked at the first topic draw
             times = np.sort(rng.uniform(t_lo, t_hi, size=count))
-            for ts in times:
-                if rng.uniform() < config.noise_rate:
-                    live = np.where(release <= period)[0]
-                    item = int(rng.choice(live))
+            for ts in times.tolist():
+                # rng.random() is bitwise rng.uniform(); each branch makes
+                # the calls rng.choice(live) / rng.choice(a, p=p) make
+                if rng.random() < config.noise_rate:
+                    live = released_by(period)
+                    item = live[rng.integers(0, len(live))]
                 else:
-                    topic = int(rng.choice(topics, p=probs))
-                    live, pop = items_for(topic, period)
-                    item = int(rng.choice(live, p=pop))
-                interactions.append(Interaction(user, item, float(ts)))
+                    if topic_cdf is None:
+                        topic_cdf = _sampling_cdf(probs)
+                    topic = topics[bisect_right(topic_cdf, rng.random())]
+                    live, cdf = items_for(topic, period)
+                    item = live[bisect_right(cdf, rng.random())]
+                interactions.append(Interaction(user, item, ts))
 
         # pretraining period covers timestamps [0, 0.5); cold-start users
         # produce nothing until their arrival span

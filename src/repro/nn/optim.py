@@ -287,8 +287,9 @@ def clip_grad_norm(params: Iterable[Parameter], max_norm: float) -> float:
 
     Row-sparse parameters (see :func:`touched_rows`) contribute only
     their touched rows to the norm — the remaining rows hold exact
-    zeros, so the result is identical while skipping the O(rows * d)
-    scan and scale of the full table.
+    zeros, so the result equals the full-table norm up to summation
+    order (it can differ in the last ULP) while skipping the
+    O(rows * d) scan and scale of the full table.
     """
     params = [p for p in params if p.grad is not None]
     total_sq = 0.0

@@ -83,6 +83,15 @@ class TestTopicDynamics:
             timeline = world.user_topic_timeline[user]
             assert timeline[1] - timeline[0]
 
+    def test_new_topic_users_rejects_out_of_range_periods(self):
+        world = generate_world(small(new_topic_rate=0.8))
+        last = world.config.num_spans
+        assert world.new_topic_users(last) == {
+            u for u, t in world.user_topic_timeline.items() if t[last] - t[last - 1]}
+        for period in (-1, 0, last + 1):
+            with pytest.raises(ValueError, match="period must be in 1..3"):
+                world.new_topic_users(period)
+
     def test_reappearance_rate_high(self):
         # the paper's motivation: >80% of interests reappear
         world = generate_world(small(num_spans=6))

@@ -6,7 +6,9 @@ the topic's live pool, Zipf weights and CDF each time.  It is kept here,
 verbatim, only as a test oracle: the library version must consume the
 same random stream and therefore produce bitwise-identical worlds, and
 must raise the same exception with the same message wherever the
-oracle raises.
+oracle raises.  ``test_sampling_cdf_matches_choice`` also checks the
+CDF helper against ``Generator.choice`` directly, including checks no
+world config can reach (negative or infinite probabilities).
 
 Both sides run on the installed numpy, so the comparison holds for any
 numpy version CI uses.
@@ -14,6 +16,7 @@ numpy version CI uses.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Dict, List, Set, Tuple
 
 import numpy as np
@@ -21,7 +24,7 @@ import pytest
 
 from repro.data import DATASET_NAMES, WorldConfig, dataset_config, generate_world
 from repro.data.schema import Interaction
-from repro.data.synthetic import InterestWorld
+from repro.data.synthetic import InterestWorld, _sampling_cdf
 
 
 def _oracle_zipf_weights(n: int, exponent: float) -> np.ndarray:
@@ -219,3 +222,40 @@ def test_errors_match_oracle(label):
         generate_world(config)
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
+
+
+PROBABILITIES = {
+    "uniform": np.full(5, 0.2),
+    "zipf": np.arange(1, 41) ** -1.3 / (np.arange(1, 41) ** -1.3).sum(),
+    "with-zeros": np.array([0.0, 0.5, 0.0, 0.5, 0.0]),
+    "single": np.array([1.0]),
+    "within-tolerance": np.array([0.5, 0.5 + 1e-9]),
+    "off-by-1e-7": np.array([0.5, 0.5 + 1e-7]),
+    "negative": np.array([-0.25, 1.25]),
+    "nan": np.array([np.nan, 1.0]),
+    "inf": np.array([np.inf, 1.0]),
+    "empty": np.array([]),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PROBABILITIES))
+def test_sampling_cdf_matches_choice(label):
+    """``a[bisect_right(cdf, random())]`` is ``choice(a, p=p)``, draw for draw."""
+    p = PROBABILITIES[label]
+    a = np.arange(100, 100 + p.size)
+    try:
+        np.random.default_rng(0).choice(a, p=p)
+    except ValueError as want:
+        with pytest.raises(ValueError) as got:
+            _sampling_cdf(p)
+        assert str(got.value) == str(want)
+        return
+    cdf = _sampling_cdf(p)
+    ours, numpy_rng = np.random.default_rng(3), np.random.default_rng(3)
+    items = a.tolist()
+    for _ in range(300):
+        assert items[bisect_right(cdf, ours.random())] == numpy_rng.choice(a, p=p)
+        # the noise draws: one integers() call, and random() for uniform()
+        assert items[ours.integers(0, len(items))] == numpy_rng.choice(a)
+        assert ours.random() == numpy_rng.uniform()
+    assert ours.bit_generator.state == numpy_rng.bit_generator.state
