@@ -38,8 +38,7 @@ EVAL_NAME_RE = re.compile(r"(evaluate|predict|snapshot|refresh|infer)",
 
 #: calls that build autograd graph nodes when invoked on a model
 GRAPH_BUILDING_CALLS = frozenset(
-    {"compute_interests", "embed_items", "loss_single", "loss_targets",
-     "forward"}
+    {"compute_interests", "embed_items", "loss_targets", "forward"}
 )
 
 #: ``np.random.<name>`` calls that are allowed (Generator construction)

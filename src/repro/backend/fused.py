@@ -7,12 +7,14 @@ same mathematics as the unfused graph in one numpy pass, hand-derives
 the backward, and registers a *single* graph node whose per-parent
 closures share one cached backward computation.
 
-Model code dispatches here when ``repro.backend.active.fused`` is true
-(see ``models/routing.py``, ``models/comirec_sa.py``,
-``models/sampled_softmax.py``, ``models/batched_train.py``); the
-equivalence suite (``tests/test_backend.py``) pins every kernel against
-its unfused counterpart at float64 to ~1e-9 and bounds the float32
-drift of the fast backend to documented tolerances.
+There is one kernel per equation, and each model function checks
+``repro.backend.active.fused`` once before its op-by-op graph:
+``b2i_routing`` (``models/routing.py``), ``sa_interests``
+(``models/comirec_sa.py``) and ``batch_sampled_softmax_loss``
+(``models/sampled_softmax.py``).  The equivalence suite
+(``tests/test_backend.py``) pins every kernel against its unfused
+counterpart at float64 to ~1e-9 and bounds the float32 drift of the
+fast backend to documented tolerances.
 
 Scratch arrays for kernel intermediates come from the active backend's
 buffer pool while gradients are enabled (the backward closures reference
@@ -20,9 +22,11 @@ them; they are reclaimed at the optimizer-step boundary after backward
 has run).  Kernel *outputs* — anything that becomes ``Tensor.data`` —
 are always fresh allocations, never pooled.
 
-Per-user entry points reuse the batched kernels at B=1: the data arrays
-are expanded with numpy views (no extra graph nodes) and every parent
-gradient drops the leading batch axis on the way out.
+Like the functions they serve, the kernels take one user's unpadded
+operands or a padded group with masks.  The routing read-out is written
+over the last two axes and runs either as is; the attention and loss
+kernels view a single user's arrays as a B=1 group (numpy views, no
+extra graph nodes) and reshape every gradient to its parent's shape.
 
 This module imports :mod:`repro.autograd` and the shared routing loop
 of :mod:`repro.models.routing`, and therefore must only be imported
@@ -31,7 +35,7 @@ lazily from model code, never from ``repro.backend.__init__``.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -49,42 +53,51 @@ def _const(value: float, dt: np.dtype):
     return np.asarray(value, dtype=dt)
 
 
-def _squeeze0(parents):
-    """Re-target B=1 kernel parents, stripping grads' leading batch axis.
+def _group(data: np.ndarray, ndim: int) -> np.ndarray:
+    """``data`` as a group operand: a single user's operand (one axis
+    short of ``ndim``) gains a leading B=1 axis as a numpy view."""
+    return data if data.ndim == ndim else data[None]
 
-    Gradients that the batched closure already returns unbatched (the
-    shared ``W1``) are marked by the kernels with ``fn.unbatched``.
+
+def _node(out: np.ndarray, parents, single: bool) -> Tensor:
+    """Register a kernel's graph node.
+
+    A single-user call ran on B=1 views: its output drops the batch
+    axis, and every gradient takes its parent's shape (the upstream
+    gradient regains the group output's shape on the way in).
     """
-    out = []
-    for parent, fn in parents:
-        if getattr(fn, "unbatched", False):
-            out.append((parent, fn))
-        else:
-            out.append((parent, lambda g, fn=fn: fn(g[None])[0]))
-    return out
+    if not single:
+        return Tensor._make(out, parents)
+    shape = out.shape
+    return Tensor._make(out[0] if out.ndim else out, [
+        (p, lambda g, p=p, fn=fn: fn(g.reshape(shape)).reshape(p.shape))
+        for p, fn in parents])
 
 
 # ---------------------------------------------------------------------- #
 # B2I dynamic routing (ComiRec-DR / MIND)
 # ---------------------------------------------------------------------- #
-def _dr_kernel(e_hat: Tensor, E: np.ndarray, capsules0: np.ndarray,
-               item_mask: Optional[np.ndarray],
-               capsule_mask: Optional[np.ndarray],
-               extra_logits: Optional[np.ndarray],
-               iterations: int, eps: float = 1e-9):
-    """Shared batched routing kernel over (B, n, d) transformed items.
+def fused_dr_interests(e_hat: Tensor, capsules0: np.ndarray, iterations: int,
+                       extra_logits: Optional[np.ndarray] = None,
+                       item_mask: Optional[np.ndarray] = None,
+                       capsule_mask: Optional[np.ndarray] = None,
+                       eps: float = 1e-9) -> Tensor:
+    """Fused ``b2i_routing`` read-out over (n, d) or (B, n, d) items.
 
     The constant iterations are :func:`repro.models.routing.routing_coupling`;
     routing weights are constants for backprop (MIND/ComiRec practice),
     so the only parent is ``e_hat``, reached through the final
     ``squash(Cᵀ ê)`` — exactly the unfused graph's gradient structure.
+    Every step is written over the last two axes, so one user and a
+    padded group run the same code.
     """
-    coupling = routing_coupling(E, capsules0.astype(E.dtype, copy=False),
-                                iterations, item_mask, extra_logits)
+    E = e_hat.data
+    coupling = routing_coupling(E, capsules0, iterations, item_mask,
+                                extra_logits)
     if capsule_mask is not None:
-        coupling = coupling * capsule_mask[:, None, :]
-    votes = np.matmul(coupling.transpose(0, 2, 1), E)  # V (B, K, d)
-    sq = (votes * votes).sum(axis=-1, keepdims=True)  # q = |V|² (B, K, 1)
+        coupling = coupling * capsule_mask[..., None, :]
+    votes = np.matmul(coupling.swapaxes(-1, -2), E)   # V (..., K, d)
+    sq = (votes * votes).sum(axis=-1, keepdims=True)  # q = |V|² (..., K, 1)
     inv1 = 1.0 / (1.0 + sq)
     root = np.sqrt(sq + eps)
     scale = sq * inv1 / root
@@ -96,66 +109,42 @@ def _dr_kernel(e_hat: Tensor, E: np.ndarray, capsules0: np.ndarray,
             - 0.5 * sq * inv1 / (root * (sq + eps))
         gv = g * scale + votes * (
             2.0 * (g * votes).sum(axis=-1, keepdims=True) * ds_dq)
-        return np.matmul(coupling, gv)                 # bnk,bkd->bnd
+        return np.matmul(coupling, gv)                 # nk,kd->nd
 
     return Tensor._make(out, [(e_hat, grad_e_hat)])
-
-
-def fused_dr_interests(e_hat: Tensor, capsules0: np.ndarray,
-                       item_mask: np.ndarray, capsule_mask: np.ndarray,
-                       extra_logits: Optional[np.ndarray],
-                       iterations: int) -> Tensor:
-    """Batched fused routing: drop-in for the unfused ``_extract_dr`` core."""
-    return _dr_kernel(e_hat, e_hat.data, capsules0, item_mask, capsule_mask,
-                      extra_logits, iterations)
-
-
-def fused_dr_interests_single(e_hat: Tensor, init_interests: np.ndarray,
-                              iterations: int,
-                              init_logits: Optional[np.ndarray]) -> Tensor:
-    """Per-user fused routing: drop-in for ``b2i_routing`` (items norm)."""
-    extra = None if init_logits is None else init_logits[None]
-    node = _dr_kernel(e_hat, e_hat.data[None], init_interests[None],
-                      None, None, extra, iterations)
-    return Tensor._make(node.data[0], _squeeze0(node._backward_fns))
 
 
 # ---------------------------------------------------------------------- #
 # additive self-attention (ComiRec-SA)
 # ---------------------------------------------------------------------- #
-def _sa_kernel(embs: Tensor, w1, user_ws: Sequence, E: np.ndarray,
-               item_mask: Optional[np.ndarray],
-               capsule_mask: Optional[np.ndarray]):
-    """Batched fused SA extraction over (B, n, d) item embeddings.
+def fused_sa_interests(embs: Tensor, w1, weights: Tensor,
+                       item_mask: Optional[np.ndarray] = None,
+                       capsule_mask: Optional[np.ndarray] = None) -> Tensor:
+    """Fused ``sa_interests`` over (n, d) / (d_a, K) or a padded
+    (B, n, d) / (B, d_a, K) group.
 
-    Parents: the embedding block, the shared ``W1`` and each user's
-    attention matrix; one cached backward computes all of their grads.
-    The softmax jacobian legitimately uses the capsule-masked attention:
+    Parents: the item embeddings, the shared ``W1`` and the attention
+    weights; one cached backward computes all of their grads.  The
+    softmax jacobian legitimately uses the capsule-masked attention:
     the softmax runs per (user, capsule) column over items, masked
     columns carry zero upstream gradient, and unmasked columns are
     untouched by the mask — column by column the two coincide.
     """
+    single = embs.ndim == 2
+    E = _group(embs.data, 3)
     dt = E.dtype
     batch, n, _ = E.shape
     W1 = w1.data.astype(dt, copy=False)
-    d_a = W1.shape[0]
-    ks = [w.data.shape[1] for w in user_ws]
-    k_max = capsule_mask.shape[1] if capsule_mask is not None else max(ks)
-
-    w_pad = _scratch((batch, d_a, k_max))
-    w_pad.fill(0.0)
-    for b, w in enumerate(user_ws):
-        # slice assignment copies w.data into the pad; no alias survives
-        w_pad[b, :, :ks[b]] = w.data  # repro: noqa[RA603]
-    hidden = _scratch((batch, n, d_a))
+    W = _group(weights.data, 3)                       # (B, d_a, K)
+    hidden = _scratch((batch, n, W1.shape[0]))
     np.matmul(E, W1.T, out=hidden)
     np.tanh(hidden, out=hidden)                       # H = tanh(E W1ᵀ)
-    logits = _scratch((batch, n, k_max))
-    np.matmul(hidden, w_pad, out=logits)
+    logits = _scratch((batch, n, W.shape[2]))
+    np.matmul(hidden, W, out=logits)
     if item_mask is not None:
         logits += np.where(item_mask[:, :, None], _const(0.0, dt),
                            _const(_NEG, dt))
-    attn = _scratch((batch, n, k_max))                # softmax over items
+    attn = _scratch(logits.shape)                     # softmax over items
     np.subtract(logits, logits.max(axis=1, keepdims=True), out=attn)
     np.exp(attn, out=attn)
     attn /= attn.sum(axis=1, keepdims=True)
@@ -171,57 +160,40 @@ def _sa_kernel(embs: Tensor, w1, user_ws: Sequence, E: np.ndarray,
             d_e = np.matmul(attn, g)                             # (B, n, d)
             d_logits = attn * (d_attn
                                - (d_attn * attn).sum(axis=1, keepdims=True))
-            d_hidden = np.matmul(d_logits, w_pad.transpose(0, 2, 1))
-            d_wpad = np.matmul(hidden.transpose(0, 2, 1), d_logits)
+            d_hidden = np.matmul(d_logits, W.transpose(0, 2, 1))
             d_pre = d_hidden * (1.0 - hidden * hidden)           # tanh'
             d_e += np.matmul(d_pre, W1)
             cache["d_e"] = d_e
             cache["d_w1"] = np.tensordot(d_pre, E,      # bna,bnd->ad
                                          axes=([0, 1], [0, 1]))
-            cache["d_wpad"] = d_wpad
+            cache["d_w"] = np.matmul(hidden.transpose(0, 2, 1), d_logits)
         return cache
 
-    def grad_w1(g: np.ndarray) -> np.ndarray:
-        return _shared(g)["d_w1"]
-    grad_w1.unbatched = True  # summed over the batch: already (d_a, d)
-
-    parents = [(embs, lambda g: _shared(g)["d_e"]), (w1, grad_w1)]
-    for b, w in enumerate(user_ws):
-        def grad_wu(g: np.ndarray, b=b, k=ks[b]) -> np.ndarray:
-            return _shared(g)["d_wpad"][b, :, :k]
-        grad_wu.unbatched = True  # per-user slice: already (d_a, k)
-        parents.append((w, grad_wu))
-    return Tensor._make(out, parents)
-
-
-def fused_sa_interests(embs: Tensor, w1, user_ws: Sequence,
-                       item_mask: np.ndarray,
-                       capsule_mask: np.ndarray) -> Tensor:
-    """Batched fused SA: drop-in for the unfused ``_extract_sa`` core."""
-    return _sa_kernel(embs, w1, user_ws, embs.data, item_mask, capsule_mask)
-
-
-def fused_sa_interests_single(embs: Tensor, w1, w_u) -> Tensor:
-    """Per-user fused SA: drop-in for ``ComiRecSA.compute_interests``."""
-    node = _sa_kernel(embs, w1, [w_u], embs.data[None], None, None)
-    return Tensor._make(node.data[0], _squeeze0(node._backward_fns))
+    return _node(out, [(embs, lambda g: _shared(g)["d_e"]),
+                       (w1, lambda g: _shared(g)["d_w1"]),
+                       (weights, lambda g: _shared(g)["d_w"])], single)
 
 
 # ---------------------------------------------------------------------- #
 # sampled-softmax loss (Eq. 6) with target-attentive aggregation (Eq. 5)
 # ---------------------------------------------------------------------- #
-def _loss_kernel(interests: Tensor, target_embs: Tensor, neg_embs: Tensor,
-                 I: np.ndarray, Te: np.ndarray, Ne: np.ndarray,
-                 capsule_mask: Optional[np.ndarray], weights: np.ndarray,
-                 batched: bool) -> Tensor:
-    """Weighted sampled-softmax NLL over a (B, M, J) target/negative block.
+def fused_sampled_softmax_loss(interests: Tensor, target_embs: Tensor,
+                          neg_embs: Tensor,
+                          capsule_mask: Optional[np.ndarray] = None,
+                          weights: Optional[np.ndarray] = None) -> Tensor:
+    """Fused ``batch_sampled_softmax_loss`` over (K, d) interests with
+    (m, d) targets and (m, J, d) negatives, or a padded group of them.
 
-    Returns ``sum_b sum_m weights[b, m] * nll[b, m]`` as a scalar; with
-    per-user weights ``1/m`` this is the batched group loss, and with
-    B=1 (``batched=False``, arrays expanded by the caller) it is one
-    user's mean-over-targets loss.
+    Returns ``sum_b sum_m weights[b, m] * nll[b, m]`` as a scalar; one
+    user (no ``weights``) weighs each target ``1/m``, its mean loss.
     """
+    single = interests.ndim == 2
+    I = _group(interests.data, 3)
+    Te = _group(target_embs.data, 3)
+    Ne = _group(neg_embs.data, 4)
     dt = I.dtype
+    if weights is None:
+        weights = np.full(Te.shape[:2], 1.0 / Te.shape[1])
     w = weights.astype(dt, copy=False)
 
     IT = I.transpose(0, 2, 1)                        # (B, d, K) view
@@ -270,30 +242,6 @@ def _loss_kernel(interests: Tensor, target_embs: Tensor, neg_embs: Tensor,
             cache["d_ne"] = d_neg[..., None] * v[:, :, None, :]
         return cache
 
-    parents = [(interests, lambda g: _shared(g)["d_i"]),
-               (target_embs, lambda g: _shared(g)["d_te"]),
-               (neg_embs, lambda g: _shared(g)["d_ne"])]
-    if not batched:
-        # the caller expanded B=1 views; grads must drop that axis (the
-        # upstream scalar g needs no expansion, unlike _squeeze0's case)
-        parents = [(p, lambda g, fn=fn: fn(g)[0]) for p, fn in parents]
-    return Tensor._make(out, parents)
-
-
-def fused_sampled_softmax(interests: Tensor, target_embs: Tensor,
-                          neg_embs: Tensor, capsule_mask: np.ndarray,
-                          weights: np.ndarray) -> Tensor:
-    """Batched fused loss: drop-in for the ``batched_loss_targets`` core."""
-    return _loss_kernel(interests, target_embs, neg_embs,
-                        interests.data, target_embs.data, neg_embs.data,
-                        capsule_mask, weights, batched=True)
-
-
-def fused_sampled_softmax_single(interests: Tensor, target_embs: Tensor,
-                                 neg_embs: Tensor) -> Tensor:
-    """Per-user fused loss: drop-in for ``batch_sampled_softmax_loss``."""
-    m = target_embs.shape[0]
-    weights = np.full((1, m), 1.0 / m)
-    return _loss_kernel(interests, target_embs, neg_embs,
-                        interests.data[None], target_embs.data[None],
-                        neg_embs.data[None], None, weights, batched=False)
+    return _node(out, [(interests, lambda g: _shared(g)["d_i"]),
+                       (target_embs, lambda g: _shared(g)["d_te"]),
+                       (neg_embs, lambda g: _shared(g)["d_ne"])], single)

@@ -409,7 +409,7 @@ class IncrementalStrategy:
         if interests_hook is not None:
             per_user = [interests_hook(state, t)
                         for (state, _), t in zip(jobs, per_user)]
-            interests, capsule_mask = pad_interest_group(per_user, self.model.dim)
+            interests, capsule_mask = pad_interest_group(per_user)
         negatives = [self.sampler.sample_batch(p.targets) for p in group]
         loss = batched_loss_targets(
             self.model, interests, capsule_mask,

@@ -11,7 +11,7 @@ from .routing import b2i_routing, squash_np
 from .sampled_softmax import batch_sampled_softmax_loss, sampled_softmax_loss
 from .mind import MIND
 from .comirec_dr import ComiRecDR
-from .comirec_sa import ComiRecSA
+from .comirec_sa import ComiRecSA, sa_interests
 from .controllable import category_diversity, greedy_controllable_selection, recommend
 from .batched_train import (
     batched_compute_interests,
@@ -47,6 +47,7 @@ __all__ = [
     "score_items",
     "score_items_batch",
     "b2i_routing",
+    "sa_interests",
     "squash_np",
     "sampled_softmax_loss",
     "batch_sampled_softmax_loss",

@@ -20,7 +20,7 @@ from ..autograd import Tensor, no_grad
 from ..nn import Embedding, Module, Parameter
 from ..sanitize import capture as _capture
 from .aggregator import score_items
-from .sampled_softmax import batch_sampled_softmax_loss, sampled_softmax_loss
+from .sampled_softmax import batch_sampled_softmax_loss
 
 
 @dataclass
@@ -182,13 +182,6 @@ class MSRModel(Module):
 
     def embed_items(self, item_ids: Sequence[int]) -> Tensor:
         return self.item_emb(np.asarray(item_ids, dtype=np.int64))
-
-    def loss_single(self, interests: Tensor, target: int,
-                    negatives: np.ndarray) -> Tensor:
-        """Eq. 6 for one (user, target) instance."""
-        target_emb = self.embed_items([target])[0]
-        neg_embs = self.embed_items(negatives)
-        return sampled_softmax_loss(interests, target_emb, neg_embs)
 
     def loss_targets(self, interests: Tensor, targets: Sequence[int],
                      negatives: np.ndarray) -> Tensor:

@@ -1,54 +1,56 @@
-"""In-graph micro-batched forward for training groups of users at once.
+"""Pad a group of users for one batched autograd forward.
 
 The per-user training loop (``IncrementalStrategy._train``) extracts one
 user's interests, scores that user's targets, and takes an optimizer
 step — paper-exact, but the Python/graph overhead of thousands of tiny
-autograd ops dominates wall-clock on small models.  This module provides
-the batched counterpart used when ``TrainConfig.users_per_batch > 1``:
+autograd ops dominates wall-clock on small models.  This module is the
+group counterpart used when ``TrainConfig.users_per_batch > 1``.  It
+only pads, builds masks and draws per-user randomness in job order; the
+mathematics is the per-user functions themselves, which take either one
+user's 2-D operands or a padded 3-D group with masks:
 
-* :func:`batched_compute_interests` — pad a group of users into one
-  batched *differentiable* extraction (B2I routing for the DR family,
-  additive self-attention for SA), masking both the item axis (variable
-  sequence length) and the capsule axis (variable ``K_u``);
-* :func:`batched_loss_targets` — the sampled-softmax objective (Eq. 6)
-  over *all* users' targets in one batched graph, returning the **sum**
-  of each user's mean-over-targets loss, so one ``backward()`` produces
+* :func:`batched_compute_interests` — pads item sequences (variable
+  length) and per-user capsules (variable ``K_u``) and calls
+  :func:`~repro.models.routing.b2i_routing` (DR family) or
+  :func:`~repro.models.comirec_sa.sa_interests` (SA);
+* :func:`batched_loss_targets` — pads targets and negatives and calls
+  :func:`~repro.models.sampled_softmax.batch_sampled_softmax_loss`
+  (Eqs. 5–6) with per-target weights ``1/m_u``, returning the **sum** of
+  each user's mean-over-targets loss, so one ``backward()`` produces
   exactly the accumulated gradient of the per-user losses;
 * :func:`pad_interest_group` — re-pad per-user interest tensors after
   in-graph hooks (PIT projection) back into a batched block.
 
-Gradients through padding are exact zeros by construction: padded item
-slots index a zero row appended *after* the embedding gather (so no
-spurious rows are recorded as touched for the sparse optimizer), padded
-capsule columns are multiplied out of the final coupling/attention, and
-padded targets carry zero loss weight.
+Gradients through padding are exact zeros by construction: padding
+happens *after* the embedding gather (:func:`repro.autograd.pad_rows`),
+so no padded slot reaches the embedding table or the sparse optimizer's
+touched rows; padded capsule columns are multiplied out of the final
+coupling/attention, and padded targets carry zero loss weight.
 
-Numerics: the batched graph evaluates the same formulas as the per-user
-path but through differently-shaped BLAS calls, so per-user losses agree
-to ~1e-8, not bitwise (``tests/test_microbatch.py``).  The bit-exact
-paper configuration is ``users_per_batch=1``, which bypasses this module
-entirely.
+Numerics: the padded group runs the same formulas as the per-user path
+through differently-shaped BLAS calls, so per-user losses agree to
+~1e-8, not bitwise (``tests/test_microbatch.py``); a one-user group
+extracts bitwise the same interests and gradients as the per-user call.
+The bit-exact paper configuration is ``users_per_batch=1``, which
+bypasses this module entirely.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .. import backend as _backend
 from ..autograd import Tensor, concat, pad_rows, stack
-from ..autograd.ops import log_softmax, softmax, squash
 from ..contracts import shape_contract
-from ..nn import Parameter
-from ..obs import prof as _prof
 from ..obs import trace as obs
 from ..sanitize import capture as _capture
 from .base import MSRModel, UserState
 from .comirec_dr import ComiRecDR
-from .comirec_sa import ComiRecSA
+from .comirec_sa import ComiRecSA, sa_interests
 from .mind import MIND
-from .routing import _NEG, routing_coupling
+from .routing import b2i_routing
+from .sampled_softmax import batch_sampled_softmax_loss
 
 #: ``(state, history items)`` — one user's extraction job
 Job = Tuple[UserState, Sequence[int]]
@@ -67,6 +69,26 @@ def supports_batched_training(model: MSRModel) -> bool:
     return isinstance(model, (MIND, ComiRecSA))
 
 
+def _length_mask(lengths: Sequence[int]) -> np.ndarray:
+    """(B, max length) boolean mask of the real slots of a padded group."""
+    return np.arange(max(lengths)) < np.asarray(lengths)[:, None]
+
+
+def _stack_padded(tensors: Sequence[Tensor], axis: int) -> Tensor:
+    """Stack per-user tensors after zero-padding ``axis`` to the longest;
+    gradients flow through the concat/stack back into each tensor."""
+    size = max(t.shape[axis] for t in tensors)
+    parts: List[Tensor] = []
+    for t in tensors:
+        short = size - t.shape[axis]
+        if short:
+            shape = list(t.shape)
+            shape[axis] = short
+            t = concat([t, Tensor(np.zeros(shape))], axis=axis)
+        parts.append(t)
+    return stack(parts, axis=0)
+
+
 def _padded_item_embeddings(
     model: MSRModel, seqs: Sequence[Sequence[int]],
 ) -> Tuple[Tensor, np.ndarray]:
@@ -79,23 +101,8 @@ def _padded_item_embeddings(
     the padding, and the backward is pure slicing (no scatter).
     """
     lengths = [len(s) for s in seqs]
-    n_max = max(lengths)
     flat = np.concatenate([np.asarray(s, dtype=np.int64) for s in seqs])
-    gathered = model.item_emb(flat)                        # (sum n_u, d)
-    mask = np.zeros((len(seqs), n_max), dtype=bool)
-    for b, n in enumerate(lengths):
-        mask[b, :n] = True
-    return pad_rows(gathered, lengths, n_max), mask
-
-
-def _capsule_padding(states: Sequence[UserState]) -> Tuple[np.ndarray, List[int]]:
-    """(B, K_max) capsule mask and the per-user interest counts."""
-    ks = [state.num_interests for state in states]
-    k_max = max(ks)
-    mask = np.zeros((len(states), k_max), dtype=bool)
-    for b, k in enumerate(ks):
-        mask[b, :k] = True
-    return mask, ks
+    return pad_rows(model.item_emb(flat), lengths), _length_mask(lengths)
 
 
 @shape_contract("_, _ -> (B, K, D) f, (B, K) b, _")
@@ -128,25 +135,20 @@ def batched_compute_interests(
 
 
 def _extract_dr(model: MSRModel, jobs: Sequence[Job]):
-    """Batched B2I routing (ComiRec-DR / MIND), in-graph final iteration.
-
-    Mirrors :func:`repro.models.routing.b2i_routing`: routing weights
-    are constants for backprop except through the final
-    ``squash(cᵀ ê)``; the iterations themselves run vectorized in numpy
-    over the whole padded group (:func:`routing_coupling`).
-    """
-    states = [state for state, _ in jobs]
-    capsule_mask, ks = _capsule_padding(states)
+    """Batched B2I routing (ComiRec-DR / MIND): pads the group, draws
+    each user's randomness in job order, then runs the per-user
+    :func:`repro.models.routing.b2i_routing` on the padded block."""
+    ks = [state.num_interests for state, _ in jobs]
+    capsule_mask = _length_mask(ks)
     batch, k_max = capsule_mask.shape
     transform = model.transform if isinstance(model, ComiRecDR) else model.bilinear
-    e_hat = _padded_item_embeddings(model, [seq for _, seq in jobs])[0] @ transform.T
-    item_mask = np.zeros((batch, e_hat.shape[1]), dtype=bool)
+    embs, item_mask = _padded_item_embeddings(model, [seq for _, seq in jobs])
+    e_hat = embs @ transform.T
     capsules = np.zeros((batch, k_max, model.dim))
     extra_logits = None
     if isinstance(model, MIND):
         extra_logits = np.zeros((batch, e_hat.shape[1], k_max))
     for b, (state, seq) in enumerate(jobs):
-        item_mask[b, :len(seq)] = True
         if isinstance(model, ComiRecDR) and not model.warm_start:
             capsules[b, :ks[b]] = model._random_interests(ks[b])
         else:
@@ -154,83 +156,36 @@ def _extract_dr(model: MSRModel, jobs: Sequence[Job]):
         if extra_logits is not None:
             extra_logits[b, :len(seq), :ks[b]] = model._logit_rng.normal(
                 0.0, model.logit_std, size=(len(seq), ks[b]))
-
-    if _backend.active.fused:
-        from ..backend.fused import fused_dr_interests
-
-        interests = fused_dr_interests(
-            e_hat, capsules, item_mask, capsule_mask, extra_logits,
-            model.routing_iterations)
-        return interests, capsule_mask, ks
-
-    with _prof.op("extract.b2i_routing"):
-        coupling = routing_coupling(e_hat.data, capsules,
-                                    model.routing_iterations,
-                                    item_mask, extra_logits)
-        coupling = coupling * capsule_mask[:, None, :]  # kill padded capsules
-    interests = squash(Tensor(coupling).swapaxes(1, 2) @ e_hat)
+    interests = b2i_routing(e_hat, capsules, model.routing_iterations,
+                            extra_logits, item_mask=item_mask,
+                            capsule_mask=capsule_mask)
     return interests, capsule_mask, ks
 
 
 def _extract_sa(model: ComiRecSA, jobs: Sequence[Job]):
-    """Batched additive self-attention extraction (Eqs. 7–9)."""
-    states = [state for state, _ in jobs]
-    capsule_mask, ks = _capsule_padding(states)
-    k_max = capsule_mask.shape[1]
+    """Batched self-attention (Eqs. 7–9): pads each user's attention
+    weights to K_max columns, then runs the per-user
+    :func:`repro.models.comirec_sa.sa_interests` on the padded block."""
+    ks = [state.num_interests for state, _ in jobs]
+    capsule_mask = _length_mask(ks)
     embs, item_mask = _padded_item_embeddings(model, [seq for _, seq in jobs])
-    user_ws: List[Parameter] = []
-    for state, k in zip(states, ks):
-        w = state.sa_weights
-        if w is None:
-            raise ValueError("SA user state is missing attention weights")
-        if w.data.shape[1] != k:
-            raise ValueError(
-                "user attention weights out of sync with interest count: "
-                f"{w.data.shape[1]} vs {k}")
-        user_ws.append(w)
-
-    if _backend.active.fused:
-        from ..backend.fused import fused_sa_interests
-
-        interests = fused_sa_interests(embs, model.w1, user_ws, item_mask,
-                                       capsule_mask)
-        return interests, capsule_mask, ks
-
-    hidden = (embs @ model.w1.T).tanh()              # (B, n, d_a)
-    columns: List[Tensor] = []
-    for w, k in zip(user_ws, ks):
-        if k < k_max:
-            w = concat([w, Tensor(np.zeros((model.attention_dim, k_max - k)))],
-                       axis=1)
-        columns.append(w)
-    w_pad = stack(columns, axis=0)                   # (B, d_a, K_max)
-    logits = hidden @ w_pad + Tensor(np.where(item_mask, 0.0, _NEG)[:, :, None])
-    attn = softmax(logits, axis=1)                   # Eq. 8, over items
-    attn = attn * Tensor(capsule_mask[:, None, :].astype(embs.data.dtype))
-    interests = attn.swapaxes(1, 2) @ embs           # Eq. 9 -> (B, K_max, d)
+    weights = _stack_padded([model.attention_weights(state)
+                             for state, _ in jobs], axis=1)  # (B, d_a, K_max)
+    interests = sa_interests(embs, model.w1, weights, item_mask, capsule_mask)
     return interests, capsule_mask, ks
 
 
-@shape_contract("_, () -> (B, K, D) f, (B, K) b")
+@shape_contract("_ -> (B, K, D) f, (B, K) b")
 def pad_interest_group(
-    tensors: Sequence[Tensor], dim: int,
+    tensors: Sequence[Tensor],
 ) -> Tuple[Tensor, np.ndarray]:
     """Re-pad per-user (K_u, d) interest tensors into a (B, K_max, d) block.
 
     Used after in-graph per-user hooks (PIT projection) rewrote the
-    sliced interests; gradients flow through the concat/stack back into
-    each user's tensor.
+    sliced interests; gradients flow back into each user's tensor.
     """
-    ks = [t.shape[0] for t in tensors]
-    k_max = max(ks)
-    mask = np.zeros((len(tensors), k_max), dtype=bool)
-    rows: List[Tensor] = []
-    for b, t in enumerate(tensors):
-        mask[b, :ks[b]] = True
-        if ks[b] < k_max:
-            t = concat([t, Tensor(np.zeros((k_max - ks[b], dim)))], axis=0)
-        rows.append(t)
-    return stack(rows, axis=0), mask
+    return (_stack_padded(tensors, axis=0),
+            _length_mask([t.shape[0] for t in tensors]))
 
 
 @shape_contract("_, (B, K, D) f, (B, K) b, _, _ -> () f")
@@ -263,9 +218,7 @@ def batched_loss_targets(
     flat_t = np.concatenate([np.asarray(t, dtype=np.int64) for t in targets_list])
     flat_n = np.concatenate([np.asarray(n, dtype=np.int64).reshape(-1)
                              for n in negatives_list])
-    weights = np.zeros((batch, m_max))
-    for b, m in enumerate(counts):
-        weights[b, :m] = 1.0 / m
+    weights = _length_mask(counts) / np.asarray(counts)[:, None]  # 1/m_u
     target_embs = pad_rows(model.embed_items(flat_t),
                            counts, m_max)            # (B, M, d)
     neg_embs = pad_rows(model.embed_items(flat_n),
@@ -273,22 +226,8 @@ def batched_loss_targets(
                         m_max * num_neg)             # (B, M·J, d)
     neg_embs = neg_embs.reshape(batch, m_max, num_neg, model.dim)
 
-    if _backend.active.fused:
-        from ..backend.fused import fused_sampled_softmax
-
-        return fused_sampled_softmax(interests, target_embs, neg_embs,
-                                     capsule_mask, weights)
-
-    # target-attentive aggregation (Eq. 5) with padded capsules masked out
-    att = target_embs @ interests.swapaxes(1, 2)     # (B, M, K)
-    att = att + Tensor(np.where(capsule_mask, 0.0, _NEG)[:, None, :])
-    beta = softmax(att, axis=2)
-    v = beta @ interests                             # (B, M, d)
-    pos = (v * target_embs).sum(axis=2, keepdims=True)           # (B, M, 1)
-    neg = (neg_embs @ v.reshape(batch, m_max, model.dim, 1)).squeeze(3)
-    logits = concat([pos, neg], axis=2)              # (B, M, 1 + J)
-    nll = -log_softmax(logits, axis=2)[:, :, 0]      # (B, M)
-    return (nll * Tensor(weights)).sum()
+    return batch_sampled_softmax_loss(interests, target_embs, neg_embs,
+                                      capsule_mask, weights)
 
 
 def batched_snapshot_interests(

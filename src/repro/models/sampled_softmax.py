@@ -8,11 +8,16 @@ negative log-likelihood.
 
 from __future__ import annotations
 
+from typing import Optional
+
+import numpy as np
+
 from .. import backend as _backend
 from ..autograd import Tensor, concat
-from ..autograd.ops import log_softmax
+from ..autograd.ops import log_softmax, softmax
 from ..contracts import shape_contract
 from .aggregator import aggregate_interests
+from .routing import _NEG
 
 
 @shape_contract("(K, D) f, (D) f, (M, D) f -> () f")
@@ -41,36 +46,42 @@ def sampled_softmax_loss(
     return -log_softmax(logits, axis=0)[0]
 
 
-@shape_contract("(K, D) f, (M, D) f, (M, J, D) f -> () f")
+@shape_contract(
+    "(...B, K, D) f, (...B, M, D) f, (...B, M, J, D) f, (...B, K) b, "
+    "(...B, M) f -> () f")
 def batch_sampled_softmax_loss(
     interests: Tensor,
     target_embs: Tensor,
     negative_embs: Tensor,
+    capsule_mask: Optional[np.ndarray] = None,
+    weights: Optional[np.ndarray] = None,
 ) -> Tensor:
-    """Mean sampled-softmax loss over several targets of the *same* user.
+    """Sampled-softmax loss over several targets of one user or a group.
 
     The paper splits each user's in-span interactions into a history part
     (interests are extracted from it once) and a target set; all targets
-    share the same interest matrix.  ``target_embs`` is (m, d) and
-    ``negative_embs`` is (m, num_neg, d).
+    share the same interest matrix.  One user passes (K, d) interests,
+    (m, d) ``target_embs`` and (m, num_neg, d) ``negative_embs`` and gets
+    the mean over its targets.  A padded group passes the same operands
+    with a leading batch axis, the (B, K) ``capsule_mask`` and (B, M)
+    per-target ``weights`` and gets the weighted sum (zero weight on
+    padded targets).
     """
     if _backend.active.fused:
-        from ..backend.fused import fused_sampled_softmax_single
+        from ..backend.fused import fused_sampled_softmax_loss
 
-        return fused_sampled_softmax_single(interests, target_embs,
-                                            negative_embs)
-    m = target_embs.shape[0]
-    att = target_embs @ interests.T  # (m, K)
-    beta = _softmax_rows(att)
-    v = beta @ interests  # (m, d) — per-target aggregated user vector
-    pos = (v * target_embs).sum(axis=1).reshape(m, 1)  # (m, 1)
-    neg = (negative_embs @ v.reshape(m, -1, 1)).squeeze(-1)  # (m, num_neg)
-    logits = concat([pos, neg], axis=1)  # (m, 1 + num_neg)
-    return -log_softmax(logits, axis=1)[:, 0].mean()
-
-
-@shape_contract("(N, K) f -> (N, K) f")
-def _softmax_rows(x: Tensor) -> Tensor:
-    shifted = x - Tensor(x.data.max(axis=1, keepdims=True))
-    exp = shifted.exp()
-    return exp / exp.sum(axis=1, keepdims=True)
+        return fused_sampled_softmax_loss(interests, target_embs,
+                                          negative_embs, capsule_mask,
+                                          weights)
+    att = target_embs @ interests.swapaxes(-1, -2)    # (..., m, K)
+    if capsule_mask is not None:
+        att = att + Tensor(np.where(capsule_mask, 0.0, _NEG)[..., None, :])
+    beta = softmax(att, axis=-1)                      # Eq. 5
+    v = beta @ interests  # (..., m, d) — per-target aggregated user vector
+    pos = (v * target_embs).sum(axis=-1, keepdims=True)        # (..., m, 1)
+    neg = (negative_embs @ v.reshape(v.shape + (1,))).squeeze(-1)
+    logits = concat([pos, neg], axis=-1)              # (..., m, 1 + num_neg)
+    nll = log_softmax(logits, axis=-1)[..., 0]
+    if weights is None:
+        return -nll.mean()
+    return (-nll * Tensor(weights)).sum()

@@ -99,10 +99,40 @@ def per_user_loss(model, state, seq, seed=0):
     return loss
 
 
-def grad_snapshot(model):
-    return {name: param.grad.copy()
-            for name, param in model.named_parameters()
-            if param.grad is not None}
+def grad_snapshot(model, states=()):
+    """Every parameter gradient plus each given user's SA weight gradient."""
+    grads = {name: param.grad.copy()
+             for name, param in model.named_parameters()
+             if param.grad is not None}
+    for state in states:
+        if model.family == "sa":
+            assert state.sa_weights.grad is not None, state.user
+            grads[f"sa_weights[{state.user}]"] = state.sa_weights.grad.copy()
+    return grads
+
+
+def group_targets(jobs, seed=7):
+    rng = np.random.default_rng(seed)
+    targets = [rng.integers(0, 80, size=3).tolist() for _ in jobs]
+    negatives = [rng.integers(0, 80, size=(3, 4)) for _ in jobs]
+    return targets, negatives
+
+
+def group_loss(model, jobs, targets, negatives):
+    """batched_compute_interests -> batched_loss_targets -> backward."""
+    interests, capsule_mask, _ = batched_compute_interests(model, jobs)
+    loss = batched_loss_targets(model, interests, capsule_mask,
+                                targets, negatives)
+    loss.backward()
+    return loss
+
+
+def assert_f32_grads_close(grads_f, grads_e):
+    assert grads_e.keys() == grads_f.keys()
+    for key in grads_e:
+        scale = np.abs(grads_e[key]).max() or 1.0
+        drift = np.abs(grads_f[key].astype(np.float64) - grads_e[key]).max()
+        assert drift <= F32_GRAD_RTOL * scale + 1e-6, (key, drift)
 
 
 def fast_config(**overrides):
@@ -245,7 +275,8 @@ class TestFusedMatchesUnfusedF64:
                 loss_f = per_user_loss(fused, state_f, seq)
             np.testing.assert_allclose(loss_f.data, loss_e.data,
                                        rtol=0, atol=1e-12)
-            grads_e, grads_f = grad_snapshot(exact), grad_snapshot(fused)
+            grads_e = grad_snapshot(exact, [state_e])
+            grads_f = grad_snapshot(fused, [state_f])
             assert grads_e.keys() == grads_f.keys()
             for key in grads_e:
                 np.testing.assert_allclose(grads_f[key], grads_e[key],
@@ -257,24 +288,14 @@ class TestFusedMatchesUnfusedF64:
     def test_batched_training_path(self, name):
         exact, fused = make_model(name), make_model(name)
         jobs_e, jobs_f = make_jobs(exact), make_jobs(fused)
-        rng = np.random.default_rng(7)
-        targets = [rng.integers(0, 80, size=3).tolist() for _ in jobs_e]
-        negatives = [rng.integers(0, 80, size=(3, 4)) for _ in jobs_e]
-
-        def group_loss(model, jobs):
-            interests, capsule_mask, _ = batched_compute_interests(
-                model, jobs)
-            loss = batched_loss_targets(model, interests, capsule_mask,
-                                        targets, negatives)
-            loss.backward()
-            return loss
-
-        loss_e = group_loss(exact, jobs_e)
+        targets, negatives = group_targets(jobs_e)
+        loss_e = group_loss(exact, jobs_e, targets, negatives)
         with use_backend(FusedF64()):
-            loss_f = group_loss(fused, jobs_f)
+            loss_f = group_loss(fused, jobs_f, targets, negatives)
         np.testing.assert_allclose(loss_f.data, loss_e.data,
                                    rtol=0, atol=1e-12)
-        grads_e, grads_f = grad_snapshot(exact), grad_snapshot(fused)
+        grads_e = grad_snapshot(exact, [state for state, _ in jobs_e])
+        grads_f = grad_snapshot(fused, [state for state, _ in jobs_f])
         assert grads_e.keys() == grads_f.keys()
         for key in grads_e:
             np.testing.assert_allclose(grads_f[key], grads_e[key],
@@ -297,14 +318,27 @@ class TestFastF32Drift:
                 loss_f = per_user_loss(fast, state_f, seq)
             np.testing.assert_allclose(loss_f.data, loss_e.data,
                                        rtol=F32_LOSS_RTOL, atol=1e-4)
-            grads_e, grads_f = grad_snapshot(exact), grad_snapshot(fast)
-            for key in grads_e:
-                scale = np.abs(grads_e[key]).max() or 1.0
-                drift = np.abs(grads_f[key].astype(np.float64)
-                               - grads_e[key]).max()
-                assert drift <= F32_GRAD_RTOL * scale + 1e-6, (key, drift)
+            assert_f32_grads_close(grad_snapshot(fast, [state_f]),
+                                   grad_snapshot(exact, [state_e]))
             exact.zero_grad()
             fast.zero_grad()
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_batched_training_drift(self, name):
+        exact = make_model(name)
+        with use_backend("fast"):
+            fast = make_model(name)
+            jobs_f = make_jobs(fast)
+        jobs_e = make_jobs(exact)
+        targets, negatives = group_targets(jobs_e)
+        loss_e = group_loss(exact, jobs_e, targets, negatives)
+        with use_backend("fast"):
+            loss_f = group_loss(fast, jobs_f, targets, negatives)
+        np.testing.assert_allclose(loss_f.data, loss_e.data,
+                                   rtol=F32_LOSS_RTOL, atol=1e-4)
+        assert_f32_grads_close(
+            grad_snapshot(fast, [state for state, _ in jobs_f]),
+            grad_snapshot(exact, [state for state, _ in jobs_e]))
 
     def test_end_to_end_metric_drift(self, tiny_split):
         reference = run_strategy(build(tiny_split), tiny_split,

@@ -4,12 +4,16 @@ training kernel of :mod:`repro.models.batched_train` under ``no_grad``."""
 import numpy as np
 import pytest
 
-from repro.autograd import no_grad
+from repro.autograd import Tensor, no_grad
 from repro.models import (
+    MIND,
     ComiRecDR,
+    ComiRecSA,
     batched_compute_interests,
     batched_snapshot_interests,
 )
+
+FAMILIES = {"ComiRec-DR": ComiRecDR, "ComiRec-SA": ComiRecSA, "MIND": MIND}
 
 
 @pytest.fixture()
@@ -55,11 +59,45 @@ class TestEquivalence:
         for (state, _), fast in zip(jobs, batched):
             assert fast.shape == (state.num_interests, model.dim)
 
-    def test_single_job_batch(self, model, rng):
-        jobs = make_jobs(model, rng, count=1)
-        fast = batched_extract(model, jobs)[0]
-        slow = model.compute_interests(jobs[0][0], jobs[0][1]).data
-        assert np.allclose(fast, slow, atol=1e-10)
+    def test_single_job_batch(self, tiny_split):
+        """A one-job group runs the per-user kernel on a B=1 block: for
+        every family, interests and every gradient (model parameters and
+        the user's SA weights) are bitwise equal to per-user
+        ``compute_interests``."""
+        for family, cls in sorted(FAMILIES.items()):
+            # identical twins: the same seed gives the same user states
+            # and the same MIND logit stream
+            solo_model, group_model = (
+                cls(tiny_split.num_items, dim=12, num_interests=3, seed=0)
+                for _ in range(2))
+            solo_jobs = make_jobs(solo_model, np.random.default_rng(3),
+                                  count=8)
+            group_jobs = make_jobs(group_model, np.random.default_rng(3),
+                                   count=8)
+            probe_rng = np.random.default_rng(4)
+            for (solo, seq), (grouped, _) in zip(solo_jobs, group_jobs):
+                solo_model.zero_grad()
+                group_model.zero_grad()
+                probe = probe_rng.normal(size=(solo.num_interests, 12))
+                per_user = solo_model.compute_interests(solo, seq)
+                (per_user * Tensor(probe)).sum().backward()
+                block, _, ks = batched_compute_interests(group_model,
+                                                         [(grouped, seq)])
+                assert ks == [solo.num_interests]
+                (block * Tensor(probe[None])).sum().backward()
+                np.testing.assert_array_equal(block.data[0], per_user.data,
+                                              err_msg=family)
+                solo_grads = dict(solo_model.named_parameters())
+                for name, param in group_model.named_parameters():
+                    expected = solo_grads[name].grad
+                    if expected is None:
+                        assert param.grad is None, (family, name)
+                    else:
+                        np.testing.assert_array_equal(
+                            param.grad, expected, err_msg=f"{family} {name}")
+                if family == "ComiRec-SA":
+                    np.testing.assert_array_equal(grouped.sa_weights.grad,
+                                                  solo.sa_weights.grad)
 
 
 class TestValidation:
